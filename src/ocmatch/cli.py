@@ -4,7 +4,8 @@ Verbs: solve-ocm, solve-aocm, reduce, verify, export-dot. Every verb
 prints one RunReport to stdout; wall-clock timing goes to stderr as a
 comment so repeated runs of the same command produce byte-identical
 stdout. Exit codes: 0 success, 1 verification failure, 2 input error,
-3 resource cap.
+3 resource cap, 4 internal error (a broken internal check; the traceback
+goes to stderr).
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from .aocm import solve_aocm_brute, solve_aocm_exact, solve_aocm_greedy
-from .errors import InputError, ResourceLimitError
+from .errors import ContractError, InputError, ResourceLimitError
 from .fileio import format_weight, load_instance, write_aocm, write_conflict_graph
 from .graphs import Arc, AocmInstance, Digraph, UndirectedGraph, is_cubic
 from .matching import max_control_matching
@@ -299,6 +301,9 @@ def main(argv: list[str] | None = None) -> int:
             message += f" (best bound so far {format_weight(exc.best_bound)})"
         print(message, file=sys.stderr)
         return 3
+    except (ContractError, AssertionError):
+        print(f"internal error:\n{traceback.format_exc()}", end="", file=sys.stderr)
+        return 4
     sys.stdout.write(report.to_text())
     elapsed_ms = round((time.perf_counter() - started) * 1000)
     print(f"# time_ms: {elapsed_ms}", file=sys.stderr)

@@ -2,7 +2,9 @@
 
 The CLI maps these onto its stable exit codes: bad input data is an
 InputError (exit 2), blown size or work budgets are a ResourceLimitError
-(exit 3), and ContractError marks a violated caller precondition.
+(exit 3), and ContractError marks a violated caller precondition. A
+ContractError or AssertionError that reaches the CLI is an internal
+error (exit 4), since the CLI itself is then the caller at fault.
 """
 
 from __future__ import annotations

@@ -195,3 +195,13 @@ def test_cli_reports_are_byte_identical_across_runs(tmp_path):
         )
         assert split == plain, f"partitioned run with {parts} chunks differs"
     print("PASS criterion 7: 13 commands double-run byte-identical, partitions 1/2/3 agree")
+
+
+def test_package_imports_no_runtime_dependency(tmp_path):
+    """The package and its CLI load from the standard library alone."""
+    code = "import sys, ocmatch, ocmatch.cli; print(ocmatch.__file__); print(sorted(sys.modules))"
+    probe = _python(["-c", code], tmp_path)
+    assert probe.returncode == 0, f"child cannot import ocmatch; stderr:\n{probe.stderr}"
+    where, modules = probe.stdout.splitlines()
+    assert Path(where).resolve() == Path(ocmatch.__file__).resolve()
+    assert "'networkx'" not in modules, "importing ocmatch pulled in networkx"

@@ -1,5 +1,6 @@
 import pytest
 
+import ocmatch.cli
 from ocmatch.cli import main
 from ocmatch.fileio import (
     load_instance,
@@ -274,3 +275,15 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
+
+    def test_internal_error_has_its_own_exit_code(self, tmp_path, capsys, monkeypatch):
+        def broken(_graph):
+            raise AssertionError("auxiliary matching is not maximum")
+
+        monkeypatch.setattr(ocmatch.cli, "solve_ocm", broken)
+        f = write(tmp_path, "c3.txt", write_undirected(cycle_graph(3)))
+        code, out, err = run(capsys, "solve-ocm", f)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal error:\n")
+        assert "AssertionError: auxiliary matching is not maximum" in err

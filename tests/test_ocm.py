@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +73,92 @@ class TestMaxSimpleTwoMatching:
         n = rng.randint(1, 7)
         g = random_graph(rng, n, rng.randint(0, min(9, n * (n - 1) // 2)))
         assert max_simple_two_matching(g).size == brute_2matching(g)
+
+
+def _split_graph_matching_size(g):
+    """Maximum matching size of the vertex-split graph, by networkx.
+
+    The split graph is rebuilt here from its definition, not taken from the
+    solver: copies 2u and 2u+1 of each node u, and subdivision nodes
+    ("e", k, 0) and ("e", k, 1) for edge k = (u, v), joined to each other,
+    to both copies of u and to both copies of v respectively.
+    """
+    nx = pytest.importorskip("networkx")
+    aux = nx.Graph()
+    aux.add_nodes_from(range(2 * g.node_count))
+    for k, (u, v) in enumerate(g.edges):
+        eu, ev = ("e", k, 0), ("e", k, 1)
+        aux.add_edges_from([(eu, ev), (eu, 2 * u), (eu, 2 * u + 1), (ev, 2 * v), (ev, 2 * v + 1)])
+    return len(nx.max_weight_matching(aux, maxcardinality=True))
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    return UndirectedGraph(10, tuple(outer + inner + spokes))
+
+
+def _odd_cycles_joined_by_path(a, b, path_edges):
+    """Cycles of lengths a and b whose nodes 0 and a are joined by a path."""
+    n = a + b + path_edges - 1
+    edges = [(i, (i + 1) % a) for i in range(a)]
+    edges += [(a + i, a + (i + 1) % b) for i in range(b)]
+    route = [0, *range(a + b, n), a]
+    edges += list(zip(route, route[1:]))
+    return UndirectedGraph(n, tuple(edges))
+
+
+class TestBlossomKernel:
+    def test_matches_networkx_on_the_split_graph(self):
+        rng = random.Random(11)
+        for i in range(300):
+            n = rng.randint(2, 40)
+            m = min(rng.randint(n, 8 * n), n * (n - 1) // 2)
+            g = random_graph(rng, n, m)
+            size = max_simple_two_matching(g).size
+            assert size == _split_graph_matching_size(g) - m, f"graph {i}: {g.edges}"
+
+    def test_complete_graphs_have_hamiltonian_cycles(self):
+        for n in range(5, 10):
+            assert max_simple_two_matching(complete_graph(n)).size == n
+
+    def test_petersen_graph_has_a_two_factor(self):
+        assert max_simple_two_matching(_petersen()).size == 10
+
+    def test_disjoint_triangles(self):
+        edges = []
+        for t in range(6):
+            a, b, c = 3 * t, 3 * t + 1, 3 * t + 2
+            edges += [(a, b), (b, c), (a, c)]
+        assert max_simple_two_matching(UndirectedGraph(18, tuple(edges))).size == 18
+
+    def test_odd_cycles_joined_by_a_path(self):
+        for a, b, path_edges in ((3, 3, 1), (3, 5, 2), (5, 7, 3), (7, 9, 6)):
+            g = _odd_cycles_joined_by_path(a, b, path_edges)
+            # Inner path nodes have degree two, so no 2-factor exists; the
+            # two cycles plus all but one path edge reach n - 1.
+            expected = g.node_count if path_edges == 1 else g.node_count - 1
+            assert max_simple_two_matching(g).size == expected
+
+
+class TestScale:
+    def test_long_path_and_cycle_solve_without_recursion(self):
+        _, m = solve_ocm(path_graph(20_000))
+        assert m.size == 19_999
+        _, m = solve_ocm(cycle_graph(20_001))
+        assert m.size == 20_001
+
+    def test_large_star_finishes_quickly(self):
+        started = time.perf_counter()
+        assert max_simple_two_matching(star_graph(20_000)).size == 2
+        assert time.perf_counter() - started < 10
+
+    def test_isolated_nodes_cost_little(self):
+        g = UndirectedGraph(100_010, tuple((i, i + 1) for i in range(10)))
+        started = time.perf_counter()
+        assert max_simple_two_matching(g).size == 10
+        assert time.perf_counter() - started < 10
 
 
 class TestComponents:
