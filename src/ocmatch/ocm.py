@@ -143,15 +143,16 @@ _FREE, _EVEN, _ODD, _DEAD = 0, 1, 2, 3
 def _grow_free_copies(adj: list[list[int]], mate: list[int], copies: int) -> None:
     """Make ``mate`` a maximum matching by Edmonds' cardinality blossom.
 
-    Each free node among ``0..copies-1`` is grown once as the root of an
-    alternating tree, searched breadth first over even nodes, with
-    blossoms contracted in place by relabelling their bases (Edmonds
-    1965, "Paths, trees, and flowers"). A search that finds a free node
-    augments along the tree path and resets only the nodes it labelled.
-    A search that fails leaves a Hungarian tree, which no later augmenting path can
-    touch, so its nodes are retired for good; failed searches therefore
-    cost O(V + E) in total. Nodes that are matched when the call starts
-    stay matched, since augmentation never frees a node.
+    Every free node must lie in ``0..copies-1``. Each is grown once as
+    the root of an alternating tree, searched breadth first over even
+    nodes, with blossoms contracted in place by relabelling their bases
+    (Edmonds 1965, "Paths, trees, and flowers"). A search that finds a
+    free node augments along the tree path and resets only the nodes it
+    labelled. A search that fails leaves a Hungarian tree, which no later
+    augmenting path can touch, so its nodes are retired for good; failed
+    searches therefore cost O(V + E) in total. Nodes that are matched
+    when the call starts stay matched, since augmentation never frees a
+    node.
 
     A blossom's nodes share ``base``; ``members`` lists the nodes of each
     nontrivial blossom by base, so a contraction relabels only the nodes
@@ -241,10 +242,11 @@ def _common_base(
     seen: list[int],
     stamp: int,
 ) -> int:
-    """Base of the smallest blossom holding even nodes ``v`` and ``w``.
+    """Base of the blossom closed by the edge between even nodes ``v`` and ``w``.
 
-    Climbs from both sides in turn, one blossom per step, so the cost is
-    bounded by the length of the cycle being closed, not the tree depth.
+    That is the first blossom shared by their tree paths to the root. The
+    two sides climb in turn, one blossom per step, so the cost is bounded
+    by twice the longer side of the cycle being closed, not the tree depth.
     """
     a, c = base[v], base[w]
     while True:
@@ -259,8 +261,12 @@ def _common_base(
 def _mark_blossom_path(
     x: int, child: int, b: int, base: list[int], parent: list[int], mate: list[int]
 ) -> list[int]:
-    """Point ``parent`` of the even nodes from ``x`` up to base ``b`` across
-    the closing edge, and return the bases of the blossoms passed."""
+    """Re-point the even nodes from ``x`` up to base ``b`` for a new blossom.
+
+    Each even node's ``parent`` is set to the node before it on the walk,
+    starting with ``child`` across the closing edge. Returns the bases of
+    the blossoms passed, which the new blossom absorbs.
+    """
     passed = []
     while base[x] != b:
         y = mate[x]
