@@ -2,8 +2,10 @@
 
 Three routes with different cost and guarantee profiles:
 
-* brute force scans every orientation by counter and takes the best
-  matching value, usable up to 24 edges;
+* brute force scans every orientation in reflected Gray-code order and
+  takes the best matching value, usable up to 24 edges; with uniform
+  positive weights each step flips one edge and repairs one matching
+  instead of solving the orientation afresh;
 * exact solves a maximum-weight independent set on the conflict graph by
   branch and bound, seeded with the greedy solution;
 * greedy accepts ordered directions by descending weight while their
@@ -34,6 +36,8 @@ from .matching import (
     AocmSolution,
     ControlMatching,
     _best_value,
+    _positive_kernel,
+    _uniform_weight,
     max_weight_control_matching,
 )
 from .mwis import max_weight_independent_set
@@ -47,13 +51,64 @@ __all__ = [
 ]
 
 
+def _gray_scan_uniform(
+    n: int,
+    forward: list[tuple[int, int, float]],
+    reverse: list[tuple[int, int, float]],
+    w0: float,
+    lo: int,
+    hi: int,
+) -> tuple[float, int]:
+    """:func:`_scan_orientations` when every positive weight is ``w0``.
+
+    One matching kernel holds the positive arcs of the current
+    orientation. Each Gray step flips one edge: the old direction is
+    switched off (unmatching it if it was matched), the new one on, and
+    the matching is repaired, usually by one augmentation.
+    """
+    m = len(forward)
+    kernel, ids = _positive_kernel(n, forward + reverse)
+    pairs = list(zip(ids[:m], ids[m:]))
+    mask = lo ^ (lo >> 1)
+    for k, (fwd, rev) in enumerate(pairs):
+        off = fwd if (mask >> k) & 1 else rev
+        if off >= 0:
+            kernel.deactivate(off)
+    size = kernel.repair()
+    best_val = w0 * size
+    best_mask = mask
+    for i in range(lo + 1, hi):
+        k = (i & -i).bit_length() - 1
+        mask ^= 1 << k
+        fwd, rev = pairs[k]
+        off, on = (fwd, rev) if (mask >> k) & 1 else (rev, fwd)
+        # Losing an arc can only lower the maximum, and gaining one raises
+        # it by at most one.
+        changed = off >= 0 and kernel.deactivate(off)
+        if on >= 0:
+            kernel.activate(on)
+            size += 1
+            changed = True
+        if changed:
+            size = kernel.repair(size)
+        val = w0 * size
+        if val > best_val or (val == best_val and mask < best_mask):
+            best_val = val
+            best_mask = mask
+    return best_val, best_mask
+
+
 def _scan_orientations(
     inst: AocmInstance, lo: int, hi: int
 ) -> tuple[float, int]:
-    """Best (value, counter) over orientation counters in [lo, hi).
+    """Best (value, counter) over Gray indices in [lo, hi).
 
-    Within the range the first counter achieving the maximum wins, so the
-    result is independent of how ranges are later stitched together.
+    Gray index i stands for the orientation counter i ^ (i >> 1) (the
+    reflected Gray code), so consecutive indices differ in one edge.
+    Within the range the largest value wins, ties going to the smallest
+    counter, so the result is independent of how ranges are later
+    stitched together. Uniform positive weights are scanned
+    incrementally; other instances solve each orientation afresh.
     """
     n = inst.graph.node_count
     forward: list[tuple[int, int, float]] = []
@@ -61,15 +116,19 @@ def _scan_orientations(
     for u, v in inst.graph.edges:
         forward.append((u, v, inst.weights[(u, v)]))
         reverse.append((v, u, inst.weights[(v, u)]))
+    w0 = _uniform_weight(forward + reverse)
+    if w0 is not None:
+        return _gray_scan_uniform(n, forward, reverse, w0, lo, hi)
     m = len(forward)
     best_val = -1.0
     best_mask = 0
-    for mask in range(lo, hi):
+    for i in range(lo, hi):
+        mask = i ^ (i >> 1)
         items = [
             reverse[k] if (mask >> k) & 1 else forward[k] for k in range(m)
         ]
         val = _best_value(n, items)
-        if val > best_val:
+        if val > best_val or (val == best_val and mask < best_mask):
             best_val = val
             best_mask = mask
     return best_val, best_mask
@@ -80,9 +139,10 @@ def solve_aocm_brute(
 ) -> AocmSolution:
     """Scan all orientations; ties go to the smallest counter.
 
-    ``partitions`` splits the counter range into that many contiguous
-    chunks scanned by a thread pool and merged in counter order, which
-    cannot change the answer. Caps at ``max_edges`` edges.
+    ``partitions`` splits the Gray index range into that many contiguous
+    chunks scanned by a thread pool; the merge takes the higher value,
+    then the smaller counter, so it cannot change the answer. Caps at
+    ``max_edges`` edges.
     """
     m = inst.graph.edge_count
     if m > max_edges:
@@ -103,11 +163,7 @@ def solve_aocm_brute(
             results = list(
                 pool.map(lambda r: _scan_orientations(inst, r[0], r[1]), ranges)
             )
-        best_val, best_mask = results[0]
-        for val, mask in results[1:]:
-            if val > best_val:
-                best_val = val
-                best_mask = mask
+        best_val, best_mask = max(results, key=lambda r: (r[0], -r[1]))
     orientation = orientation_from_mask(inst, best_mask)
     matching = max_weight_control_matching(inst, orientation)
     if abs(matching.value - best_val) > WEIGHT_TOL:

@@ -7,20 +7,25 @@ driver, except that at least one driver is always required.
 
 The maximum matching is found on the bipartite representation: one left
 copy of each node acting as a tail, one right copy acting as a head, and
-one bipartite edge per arc. Cardinality uses the layered augmenting-path
-method; weighted uses an assignment solve, with a cardinality fast path
-when all positive weights coincide.
+one bipartite edge per arc. Cardinality uses one incremental kernel:
+Hopcroft–Karp layered phases with an explicit-stack search, arcs that can
+be switched off and on, tail and head copies that can be blocked, and an
+undo log for trials. Weighted uses a dense assignment solve over the
+nodes that touch positive arcs, with the kernel as the fast path when all
+positive weights coincide.
 
 Among equal-value matchings every operation returns the lexicographically
 smallest arc set under canonical arc order, where arc sets are compared
 as sorted tuples (a strict prefix compares smaller). That pins down one
-canonical answer so repeated runs are reproducible.
+canonical answer so repeated runs are reproducible. With uniform positive
+weights the canonical answer comes from one solve, by trying each arc in
+order as a kernel trial; other weights re-solve once per candidate arc.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import ContractError
 from .graphs import (
@@ -95,8 +100,6 @@ def _digraph_view(d: Digraph | Orientation) -> tuple[int, tuple[Arc, ...], dict[
     if isinstance(d, Digraph):
         return d.node_count, d.arcs, {a: 1.0 for a in d.arcs}
     if isinstance(d, Orientation):
-        if not validate_orientation(d):
-            raise ContractError("orientation is not a total, legal direction map")
         arcs = tuple(sorted(d.arcs()))
         return (
             d.instance.graph.node_count,
@@ -115,64 +118,178 @@ def bipartite_representation(d: Digraph | Orientation) -> BipartiteRepresentatio
     return BipartiteRepresentation(n, edges)
 
 
-def _hopcroft_karp(n: int, arcs: list[Arc]) -> int:
-    """Maximum cardinality of a tail/head bipartite matching over ``arcs``."""
-    adj: dict[int, list[int]] = {}
-    for u, v in arcs:
-        adj.setdefault(u, []).append(v)
-    tails = sorted(adj)
-    INF = n + len(arcs) + 1
-    match_tail: dict[int, int] = {}
-    match_head: dict[int, int] = {}
-    size = 0
-    while True:
-        dist: dict[int, int] = {}
-        queue: deque[int] = deque()
-        for u in tails:
-            if u not in match_tail:
+class _Kernel:
+    """Incremental maximum matching between tail copies and head copies.
+
+    Arc ``a`` joins the tail copy of ``tails[a]`` to the head copy of
+    ``heads[a]``. The matching is kept per side as the matched arc id, or
+    -1 for a free copy. Arcs can be switched off and on, and a tail and a
+    head copy can be blocked; each change unmatches what it touches, and
+    :meth:`repair` restores a maximum matching by Hopcroft–Karp layered
+    phases whose depth-first search runs on an explicit stack, so path
+    length is not bounded by the recursion limit. Changes made after
+    :meth:`begin` form a trial: every write is logged until
+    :meth:`commit` keeps them or :meth:`rollback` undoes them.
+    """
+
+    def __init__(self, n: int, arcs: Sequence[Arc]) -> None:
+        self.tails = [u for u, _ in arcs]
+        self.heads = [v for _, v in arcs]
+        self.out: list[list[int]] = [[] for _ in range(n)]
+        for a, u in enumerate(self.tails):
+            self.out[u].append(a)
+        self.active = [True] * len(arcs)
+        self.tail_arc = [-1] * n
+        self.head_arc = [-1] * n
+        self.blocked_tail = [False] * n
+        self.blocked_head = [False] * n
+        self.size = 0
+        self.log: list[tuple[list, int, object]] | None = None
+        self.trial_size = 0
+
+    def _set(self, values: list, i: int, value: object) -> None:
+        if self.log is not None:
+            self.log.append((values, i, values[i]))
+        values[i] = value
+
+    def _unmatch(self, a: int) -> None:
+        self._set(self.tail_arc, self.tails[a], -1)
+        self._set(self.head_arc, self.heads[a], -1)
+        self.size -= 1
+
+    def begin(self) -> None:
+        self.log = []
+        self.trial_size = self.size
+
+    def commit(self) -> None:
+        self.log = None
+
+    def rollback(self) -> None:
+        for values, i, old in reversed(self.log):
+            values[i] = old
+        self.size = self.trial_size
+        self.log = None
+
+    def activate(self, a: int) -> None:
+        self._set(self.active, a, True)
+
+    def deactivate(self, a: int) -> bool:
+        """Switch arc ``a`` off; True if that unmatched it."""
+        self._set(self.active, a, False)
+        if self.tail_arc[self.tails[a]] == a:
+            self._unmatch(a)
+            return True
+        return False
+
+    def block(self, tail: int, head: int) -> None:
+        """Take a tail copy and a head copy out of the graph."""
+        if self.tail_arc[tail] >= 0:
+            self._unmatch(self.tail_arc[tail])
+        if self.head_arc[head] >= 0:
+            self._unmatch(self.head_arc[head])
+        self._set(self.blocked_tail, tail, True)
+        self._set(self.blocked_head, head, True)
+
+    def repair(self, bound: int | None = None) -> int:
+        """Augment to a maximum matching and return its size.
+
+        A caller that knows the maximum is at most ``bound`` saves the
+        final search, the one that finds no augmenting path.
+        """
+        out, tails, heads, active = self.out, self.tails, self.heads, self.active
+        tail_arc, head_arc = self.tail_arc, self.head_arc
+        blocked_tail, blocked_head = self.blocked_tail, self.blocked_head
+        n = len(out)
+        if bound is None:
+            bound = n
+        while self.size < bound:
+            roots = [
+                u for u in range(n) if tail_arc[u] < 0 and out[u] and not blocked_tail[u]
+            ]
+            if not roots:
+                break
+            # Layer tails by alternating distance from the free tails; the
+            # first layer that reaches a free head ends the layering.
+            dist = [-1] * n
+            for u in roots:
                 dist[u] = 0
-                queue.append(u)
-        reachable_free_head = False
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                w = match_head.get(v)
-                if w is None:
-                    reachable_free_head = True
-                elif w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        if not reachable_free_head:
-            return size
+            queue = list(roots)
+            limit = -1
+            for u in queue:
+                d = dist[u]
+                if d == limit:
+                    break
+                for a in out[u]:
+                    if not active[a] or blocked_head[heads[a]]:
+                        continue
+                    b = head_arc[heads[a]]
+                    if b < 0:
+                        limit = d + 1
+                    elif dist[tails[b]] < 0:
+                        dist[tails[b]] = d + 1
+                        queue.append(tails[b])
+            if limit < 0:
+                break
+            # Vertex-disjoint shortest augmenting paths along the layers;
+            # next_arc lets each tail resume its scan, and a tail that runs
+            # out of arcs is marked dead for the rest of the phase.
+            next_arc = [0] * n
+            for root in roots:
+                stack = [root]
+                path: list[int] = []
+                while stack:
+                    u = stack[-1]
+                    d = dist[u]
+                    arcs_u = out[u]
+                    i = next_arc[u]
+                    step = -1
+                    while i < len(arcs_u):
+                        a = arcs_u[i]
+                        i += 1
+                        if not active[a] or blocked_head[heads[a]]:
+                            continue
+                        b = head_arc[heads[a]]
+                        if b < 0 or (d + 1 < limit and dist[tails[b]] == d + 1):
+                            step = a
+                            break
+                    next_arc[u] = i
+                    if step < 0:
+                        dist[u] = -2
+                        stack.pop()
+                        if path:
+                            path.pop()
+                        continue
+                    path.append(step)
+                    b = head_arc[heads[step]]
+                    if b >= 0:
+                        stack.append(tails[b])
+                        continue
+                    for a in path:
+                        self._set(tail_arc, tails[a], a)
+                        self._set(head_arc, heads[a], a)
+                    self.size += 1
+                    break
+        return self.size
 
-        def try_augment(u: int) -> bool:
-            for v in adj[u]:
-                w = match_head.get(v)
-                if w is None or (dist.get(w) == dist[u] + 1 and try_augment(w)):
-                    match_tail[u] = v
-                    match_head[v] = u
-                    return True
-            dist[u] = INF
-            return False
 
-        for u in tails:
-            if u not in match_tail and try_augment(u):
-                size += 1
-
-
-def _assignment_max(n: int, items: list[_WeightedArc]) -> float:
+def _assignment_max(items: list[_WeightedArc]) -> float:
     """Maximum total weight of a partial assignment over positive-profit arcs.
 
-    Dense O(n^3) assignment on the full node set; absent pairs carry
-    profit zero, so the optimal full assignment value equals the optimal
-    partial matching weight.
+    Dense O(k^3) assignment on only the k nodes that touch an arc: tails
+    and heads are relabelled in increasing order and padded to a square
+    matrix. Absent pairs carry profit zero, so the optimal full
+    assignment value equals the optimal partial matching weight.
     """
-    if n == 0 or not items:
+    if not items:
         return 0.0
+    rows = {u: i for i, u in enumerate(sorted({u for u, _, _ in items}))}
+    cols = {v: j for j, v in enumerate(sorted({v for _, v, _ in items}))}
+    n = max(len(rows), len(cols))
     cost = [[0.0] * n for _ in range(n)]
     for u, v, w in items:
-        if -w < cost[u][v]:
-            cost[u][v] = -w
+        row = cost[rows[u]]
+        if -w < row[cols[v]]:
+            row[cols[v]] = -w
     INF = float("inf")
     u_pot = [0.0] * (n + 1)
     v_pot = [0.0] * (n + 1)
@@ -219,6 +336,18 @@ def _assignment_max(n: int, items: list[_WeightedArc]) -> float:
     return -total
 
 
+def _uniform_weight(items: list[_WeightedArc]) -> float | None:
+    """The weight shared by every positive arc; None if none is positive or they differ."""
+    w0 = None
+    for _, _, w in items:
+        if w > 0.0:
+            if w0 is None:
+                w0 = w
+            elif w != w0:
+                return None
+    return w0
+
+
 def _best_value(n: int, items: list[_WeightedArc]) -> float:
     """Best matching value over the given weighted arcs.
 
@@ -227,13 +356,64 @@ def _best_value(n: int, items: list[_WeightedArc]) -> float:
     positive weights coincide the answer is that weight times the maximum
     cardinality, found by the much cheaper layered augmenting search.
     """
-    pos = [(u, v, w) for u, v, w in items if w > 0.0]
-    if not pos:
-        return 0.0
-    w0 = pos[0][2]
-    if all(w == w0 for _, _, w in pos):
-        return w0 * _hopcroft_karp(n, [(u, v) for u, v, _ in pos])
-    return _assignment_max(n, pos)
+    w0 = _uniform_weight(items)
+    if w0 is not None:
+        return w0 * _positive_kernel(n, items)[0].repair()
+    return _assignment_max([(u, v, w) for u, v, w in items if w > 0.0])
+
+
+def _positive_kernel(n: int, items: list[_WeightedArc]) -> tuple[_Kernel, list[int]]:
+    """A kernel over the positive arcs of ``items``, and each item's arc id (-1 if none)."""
+    ids: list[int] = []
+    arcs: list[Arc] = []
+    for u, v, w in items:
+        ids.append(len(arcs) if w > 0.0 else -1)
+        if w > 0.0:
+            arcs.append((u, v))
+    return _Kernel(n, arcs), ids
+
+
+def _lex_min_uniform(
+    n: int, items: list[_WeightedArc], w0: float, tol: float
+) -> tuple[tuple[Arc, ...], float]:
+    """:func:`_lex_min_optimal` from one solve, when every positive weight is ``w0``.
+
+    The kernel holds the positive arcs from the current position on that
+    avoid the committed tails and heads, at a maximum matching. Trying arc
+    j switches it off and blocks its tail and head; the arc commits when
+    its weight plus ``w0`` times the repaired size still reaches the
+    optimum. Otherwise the trial is rolled back and only the arc is
+    switched off.
+    """
+    kernel, ids = _positive_kernel(n, items)
+    best = w0 * kernel.repair()
+    chosen: list[Arc] = []
+    total = 0.0
+    for (u, v, w), a in zip(items, ids):
+        if abs(total - best) <= tol:
+            break
+        if kernel.blocked_tail[u] or kernel.blocked_head[v]:
+            continue
+        size = kernel.size
+        kernel.begin()
+        matched = a >= 0 and kernel.deactivate(a)
+        kernel.block(u, v)
+        # Without a matched arc and its two ends, the rest of a maximum
+        # matching is still maximum. Otherwise the maximum cannot exceed
+        # size - 1 when arc j is positive: arc j would extend it.
+        if not matched:
+            kernel.repair(size - 1 if a >= 0 else size)
+        if abs(total + w + w0 * kernel.size - best) <= tol:
+            chosen.append((u, v))
+            total += w
+            kernel.commit()
+        else:
+            kernel.rollback()
+            if a >= 0 and kernel.deactivate(a):
+                kernel.repair(size)
+    if abs(total - best) > tol:
+        raise ContractError("internal error: optimal prefix not extendable")
+    return tuple(chosen), total
 
 
 def _lex_min_optimal(
@@ -244,8 +424,13 @@ def _lex_min_optimal(
     ``items`` must be sorted by arc. The optimal arc tuple is grown left to
     right: the smallest arc that still extends to an optimal matching is
     committed, and the search stops as soon as the committed arcs alone
-    reach the optimum (a strict prefix beats every extension).
+    reach the optimum (a strict prefix beats every extension). Uniform
+    positive weights take the one-solve route of :func:`_lex_min_uniform`;
+    other weights re-solve the remaining arcs for every candidate.
     """
+    w0 = _uniform_weight(items)
+    if w0 is not None:
+        return _lex_min_uniform(n, items, w0, tol)
     best = _best_value(n, items)
     chosen: list[Arc] = []
     total = 0.0
@@ -294,8 +479,6 @@ def max_weight_control_matching(inst: AocmInstance, o: Orientation) -> ControlMa
     """
     if o.instance is not inst and o.instance != inst:
         raise ContractError("orientation belongs to a different instance")
-    if not validate_orientation(o):
-        raise ContractError("orientation is not a total, legal direction map")
     items = sorted((u, v, inst.weights[(u, v)]) for u, v in o.arcs())
     arcs, total = _lex_min_optimal(inst.graph.node_count, items, tol=WEIGHT_TOL)
     return ControlMatching(arcs, total)
@@ -308,8 +491,7 @@ def driver_count(d: Digraph | Orientation) -> int:
     degenerate since there is nothing to drive.
     """
     n, arcs, _ = _digraph_view(d)
-    size = _hopcroft_karp(n, list(arcs))
-    return max(1, n - size)
+    return max(1, n - _Kernel(n, arcs).repair())
 
 
 @dataclass(frozen=True)

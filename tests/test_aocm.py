@@ -13,9 +13,9 @@ from ocmatch.graphs import (
     path_graph,
     uniform_instance,
 )
-from ocmatch.generators import random_weighted_instance
+from ocmatch.generators import random_digraph, random_graph, random_weighted_instance
 from ocmatch.matching import max_weight_control_matching
-from ocmatch.reductions import build_gadget_f
+from ocmatch.reductions import build_gadget_f, dcc3_to_aocm
 
 TOL = 1e-9
 
@@ -97,6 +97,59 @@ class TestPartitions:
         inst = uniform_instance(path_graph(2))
         with pytest.raises(InputError):
             solve_aocm_brute(inst, partitions=0)
+
+
+def _counter_order_optimum(inst):
+    """(value, counter) of the first strict maximum over counters 0, 1, 2, ..."""
+    first = None
+    for mask in range(1 << inst.graph.edge_count):
+        val = max_weight_control_matching(inst, orientation_from_mask(inst, mask)).value
+        if first is None or val > first[0] + TOL:
+            first = (val, mask)
+    return first
+
+
+def _gadget_samples(rng, count, size):
+    """Sub-instances on random edge subsets of the 4-clique gadget host."""
+    host = build_gadget_f(complete_graph(4)).host
+    for _ in range(count):
+        edges = rng.sample(host.graph.edges, size)
+        weights = {}
+        for u, v in edges:
+            weights[(u, v)] = host.weights[(u, v)]
+            weights[(v, u)] = host.weights[(v, u)]
+        yield AocmInstance(UndirectedGraph(host.graph.node_count, tuple(edges)), weights)
+
+
+class TestGrayScan:
+    """The Gray-order scan against a plain scan in counter order."""
+
+    def _check(self, inst):
+        val, mask = _counter_order_optimum(inst)
+        for parts in (1, 2, 3, 8):
+            sol = solve_aocm_brute(inst, partitions=parts)
+            assert sol.orientation.encoding() == mask, (inst, parts)
+            assert abs(sol.value - val) <= TOL
+            again = max_weight_control_matching(inst, sol.orientation)
+            assert sol.matching.arcs == again.arcs
+
+    def test_cycle_cover_instances(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            self._check(dcc3_to_aocm(random_digraph(rng, rng.randint(1, 6), 8)))
+
+    def test_gadget_samples(self):
+        rng = random.Random(32)
+        for inst in _gadget_samples(rng, 12, 9):
+            self._check(inst)
+
+    def test_uniform_instances(self):
+        rng = random.Random(33)
+        for weight in (1.0, 2.5, 0.1):
+            for _ in range(12):
+                n = rng.randint(1, 7)
+                g = random_graph(rng, n, rng.randint(0, min(9, n * (n - 1) // 2)))
+                self._check(uniform_instance(g, weight))
 
 
 class TestGreedy:

@@ -253,6 +253,23 @@ class TestExportDot:
         dot = out_path.read_text()
         assert "  0 -> 1" in dot and "  1 -> 0" in dot and "  1 -> 2" in dot
 
+    def test_long_augmenting_path_digraph(self, tmp_path, capsys):
+        # i -> H(i), i -> H(i+1) for i < k and k -> H(k), H(j) = 2k+1-j: the
+        # augmenting path from tail k passes every node.
+        k = 1500
+        h = lambda j: 2 * k + 1 - j
+        arcs = [(i, h(i)) for i in range(k)] + [(i, h(i + 1)) for i in range(k)]
+        d = Digraph(2 * k + 2, tuple(sorted(arcs + [(k, h(k))])))
+        f = write(tmp_path, "lp.txt", write_digraph(d))
+        out_path = tmp_path / "lp.dot"
+        code, out, _ = run(capsys, "export-dot", f, str(out_path))
+        assert code == 0
+        rep = from_text(out)
+        assert rep.get("nodes") == "3002"
+        assert rep.get("arcs") == "3001"
+        assert rep.get("matched") == "1501"
+        assert out_path.read_text().count('penwidth="3"') == 1501
+
 
 class TestTopLevel:
     def test_missing_file_is_an_input_error(self, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ocmatch.errors import ContractError
 from ocmatch.generators import (
     random_digraph,
+    random_graph,
     random_orientation,
     random_weighted_instance,
 )
@@ -21,6 +22,7 @@ from ocmatch.graphs import (
 from ocmatch.matching import (
     AocmSolution,
     ControlMatching,
+    _Kernel,
     bipartite_representation,
     driver_count,
     max_control_matching,
@@ -162,6 +164,85 @@ class TestDriverCount:
             n = rng.randint(1, 6)
             d = random_digraph(rng, n, 8)
             assert driver_count(d) == max(1, n - brute_control_matching(d).size)
+
+
+def long_path_digraph(k):
+    """Arcs i -> H(i) and i -> H(i+1) for i < k, and k -> H(k), with H(j) = 2k+1-j.
+
+    Its one perfect tail/head matching is i -> H(i). Taking each tail's
+    first arc instead, i -> H(i+1), leaves tail k free with its only head
+    taken, and the augmenting path that fixes it passes all 2k+2 nodes.
+    """
+    h = lambda j: 2 * k + 1 - j
+    arcs = [(i, h(i)) for i in range(k)] + [(i, h(i + 1)) for i in range(k)]
+    return Digraph(2 * k + 2, tuple(sorted(arcs + [(k, h(k))])))
+
+
+class TestLongAugmentingPath:
+    K = 1500
+
+    def test_driver_count(self):
+        d = long_path_digraph(self.K)
+        assert d.node_count == 3002 and d.arc_count == 3001
+        assert driver_count(d) == self.K + 1
+
+    def test_max_control_matching(self):
+        m = max_control_matching(long_path_digraph(self.K))
+        assert m.size == self.K + 1
+        assert m.arcs == tuple((i, 2 * self.K + 1 - i) for i in range(self.K + 1))
+
+
+def _instance_with_weights(rng, n, m, choices):
+    g = random_graph(rng, n, m)
+    weights = {}
+    for u, v in g.edges:
+        weights[(u, v)] = rng.choice(choices)
+        weights[(v, u)] = rng.choice(choices)
+    return AocmInstance(g, weights)
+
+
+class TestCanonicalKernel:
+    """The one-solve canonical route against the exhaustive oracle."""
+
+    @pytest.mark.parametrize(
+        "seed, choices",
+        [
+            (21, (0.0, 1.0)),
+            (22, (2.5,)),
+            (23, (0.0, 0.5)),
+            (24, (0.0, 1.0, -1.0)),
+            (25, (-1.0, 3.0)),
+        ],
+    )
+    def test_agrees_with_oracle(self, seed, choices):
+        rng = random.Random(seed)
+        for _ in range(100):
+            n = rng.randint(1, 7)
+            m = rng.randint(0, min(10, n * (n - 1) // 2))
+            inst = _instance_with_weights(rng, n, m, choices)
+            o = random_orientation(rng, inst)
+            got = max_weight_control_matching(inst, o)
+            want = brute_control_matching(o, weights=inst.weights)
+            assert got.arcs == want.arcs, (inst, o.encoding())
+            assert abs(got.value - want.value) <= 1e-9
+
+    def test_rollback_restores_the_matching(self):
+        rng = random.Random(26)
+        for _ in range(200):
+            n = rng.randint(2, 8)
+            d = random_digraph(rng, n, 12)
+            kernel = _Kernel(n, d.arcs)
+            size = kernel.repair()
+            before = (list(kernel.tail_arc), list(kernel.head_arc), list(kernel.active))
+            kernel.begin()
+            if d.arcs:
+                kernel.deactivate(rng.randrange(len(d.arcs)))
+            kernel.block(rng.randrange(n), rng.randrange(n))
+            kernel.repair()
+            kernel.rollback()
+            assert kernel.size == size
+            assert (kernel.tail_arc, kernel.head_arc, kernel.active) == tuple(before)
+            assert not any(kernel.blocked_tail) and not any(kernel.blocked_head)
 
 
 class TestAocmSolution:
