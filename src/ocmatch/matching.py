@@ -138,6 +138,7 @@ class _Kernel:
         self.out: list[list[int]] = [[] for _ in range(n)]
         for a, u in enumerate(self.tails):
             self.out[u].append(a)
+        self.sources = [u for u in range(n) if self.out[u]]
         self.active = [True] * len(arcs)
         self.tail_arc = [-1] * n
         self.head_arc = [-1] * n
@@ -203,9 +204,7 @@ class _Kernel:
         if bound is None:
             bound = n
         while self.size < bound:
-            roots = [
-                u for u in range(n) if tail_arc[u] < 0 and out[u] and not blocked_tail[u]
-            ]
+            roots = [u for u in self.sources if tail_arc[u] < 0 and not blocked_tail[u]]
             if not roots:
                 break
             # Layer tails by alternating distance from the free tails; the

@@ -166,7 +166,7 @@ class TestDriverCount:
             assert driver_count(d) == max(1, n - brute_control_matching(d).size)
 
 
-def long_path_digraph(k):
+def _long_path_digraph(k):
     """Arcs i -> H(i) and i -> H(i+1) for i < k, and k -> H(k), with H(j) = 2k+1-j.
 
     Its one perfect tail/head matching is i -> H(i). Taking each tail's
@@ -182,12 +182,12 @@ class TestLongAugmentingPath:
     K = 1500
 
     def test_driver_count(self):
-        d = long_path_digraph(self.K)
+        d = _long_path_digraph(self.K)
         assert d.node_count == 3002 and d.arc_count == 3001
         assert driver_count(d) == self.K + 1
 
     def test_max_control_matching(self):
-        m = max_control_matching(long_path_digraph(self.K))
+        m = max_control_matching(_long_path_digraph(self.K))
         assert m.size == self.K + 1
         assert m.arcs == tuple((i, 2 * self.K + 1 - i) for i in range(self.K + 1))
 
