@@ -138,6 +138,8 @@ class _Kernel:
         self.out: list[list[int]] = [[] for _ in range(n)]
         for a, u in enumerate(self.tails):
             self.out[u].append(a)
+        # Only tails with arcs can start a search; scanning these instead
+        # of all n copies keeps isolated nodes out of every phase.
         self.sources = [u for u in range(n) if self.out[u]]
         self.active = [True] * len(arcs)
         self.tail_arc = [-1] * n
