@@ -20,11 +20,8 @@ return, and greedy reports exactly the arcs it accepted.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 from .errors import InputError, ResourceLimitError
 from .graphs import (
-    WEIGHT_TOL,
     AocmInstance,
     Arc,
     Edge,
@@ -53,12 +50,12 @@ __all__ = [
 
 def _gray_scan_uniform(
     n: int,
-    forward: list[tuple[int, int, float]],
-    reverse: list[tuple[int, int, float]],
-    w0: float,
+    forward: list[tuple[int, int, int]],
+    reverse: list[tuple[int, int, int]],
+    w0: int,
     lo: int,
     hi: int,
-) -> tuple[float, int]:
+) -> tuple[int, int]:
     """:func:`_scan_orientations` when every positive weight is ``w0``.
 
     One matching kernel holds the positive arcs of the current
@@ -100,8 +97,8 @@ def _gray_scan_uniform(
 
 def _scan_orientations(
     inst: AocmInstance, lo: int, hi: int
-) -> tuple[float, int]:
-    """Best (value, counter) over Gray indices in [lo, hi).
+) -> tuple[int, int]:
+    """Best (value in units, counter) over Gray indices in [lo, hi).
 
     Gray index i stands for the orientation counter i ^ (i >> 1) (the
     reflected Gray code), so consecutive indices differ in one edge.
@@ -111,16 +108,17 @@ def _scan_orientations(
     incrementally; other instances solve each orientation afresh.
     """
     n = inst.graph.node_count
-    forward: list[tuple[int, int, float]] = []
-    reverse: list[tuple[int, int, float]] = []
+    units = inst.units
+    forward: list[tuple[int, int, int]] = []
+    reverse: list[tuple[int, int, int]] = []
     for u, v in inst.graph.edges:
-        forward.append((u, v, inst.weights[(u, v)]))
-        reverse.append((v, u, inst.weights[(v, u)]))
+        forward.append((u, v, units[(u, v)]))
+        reverse.append((v, u, units[(v, u)]))
     w0 = _uniform_weight(forward + reverse)
     if w0 is not None:
         return _gray_scan_uniform(n, forward, reverse, w0, lo, hi)
     m = len(forward)
-    best_val = -1.0
+    best_val = -1
     best_mask = 0
     for i in range(lo, hi):
         mask = i ^ (i >> 1)
@@ -140,9 +138,9 @@ def solve_aocm_brute(
     """Scan all orientations; ties go to the smallest counter.
 
     ``partitions`` splits the Gray index range into that many contiguous
-    chunks scanned by a thread pool; the merge takes the higher value,
-    then the smaller counter, so it cannot change the answer. Caps at
-    ``max_edges`` edges.
+    chunks scanned in turn; the merge takes the higher value, then the
+    smaller counter, so it cannot change the answer. Caps at ``max_edges``
+    edges.
     """
     m = inst.graph.edge_count
     if m > max_edges:
@@ -152,21 +150,14 @@ def solve_aocm_brute(
     if partitions < 1:
         raise InputError("partitions must be at least 1")
     total = 1 << m
-    if partitions == 1:
-        best_val, best_mask = _scan_orientations(inst, 0, total)
-    else:
-        step = -(-total // partitions)
-        ranges = [
-            (lo, min(lo + step, total)) for lo in range(0, total, step)
-        ]
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            results = list(
-                pool.map(lambda r: _scan_orientations(inst, r[0], r[1]), ranges)
-            )
-        best_val, best_mask = max(results, key=lambda r: (r[0], -r[1]))
+    step = -(-total // partitions)
+    best_val, best_mask = max(
+        (_scan_orientations(inst, lo, min(lo + step, total)) for lo in range(0, total, step)),
+        key=lambda r: (r[0], -r[1]),
+    )
     orientation = orientation_from_mask(inst, best_mask)
     matching = max_weight_control_matching(inst, orientation)
-    if abs(matching.value - best_val) > WEIGHT_TOL:
+    if sum(map(inst.units.__getitem__, matching.arcs)) != best_val:
         raise AssertionError("scan value disagrees with the recovered matching")
     return AocmSolution(orientation, matching, matching.value)
 
@@ -182,20 +173,24 @@ def solve_aocm_exact(
     out.
     """
     cg = aocm_to_wis(inst)
+    units = inst.units
     index_of = {arc: i for i, arc in enumerate(cg.arcs)}
     seed_mask = 0
     for arc in solve_aocm_greedy(inst).matching.arcs:
         seed_mask |= 1 << index_of[arc]
-    best_mask, best_w = max_weight_independent_set(
-        cg.weights,
-        cg.neighbor_masks(),
-        seed_mask=seed_mask,
-        node_budget=node_budget,
-    )
+    try:
+        best_mask, best_w = max_weight_independent_set(
+            [units[a] for a in cg.arcs],
+            cg.neighbor_masks(),
+            seed_mask=seed_mask,
+            node_budget=node_budget,
+        )
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(str(exc), inst.value_of(exc.best_bound)) from exc
     chosen = [i for i in range(len(cg.arcs)) if (best_mask >> i) & 1]
     sol = wis_to_aocm_solution(cg, chosen)
     matching = max_weight_control_matching(inst, sol.orientation)
-    if abs(matching.value - best_w) > WEIGHT_TOL:
+    if sum(units[a] for a in matching.arcs) != best_w:
         raise AssertionError("independent-set weight disagrees with the solution")
     return AocmSolution(sol.orientation, matching, matching.value)
 
@@ -209,15 +204,16 @@ def solve_aocm_greedy(inst: AocmInstance) -> AocmSolution:
     one. Nonpositive directions are never accepted. Remaining edges point
     low to high.
     """
-    order = sorted(inst.ordered_arcs(), key=lambda a: (-inst.weights[a], a))
+    units = inst.units
+    order = sorted(inst.ordered_arcs(), key=lambda a: (-units[a], a))
     chosen: list[Arc] = []
-    value = 0.0
+    total = 0
     fixed: dict[Edge, Arc] = {}
     used_tails: set[int] = set()
     used_heads: set[int] = set()
     for u, v in order:
-        w = inst.weights[(u, v)]
-        if w <= 0.0:
+        w = units[(u, v)]
+        if w <= 0:
             break
         e = canonical_edge(u, v)
         if e in fixed or u in used_tails or v in used_heads:
@@ -226,10 +222,10 @@ def solve_aocm_greedy(inst: AocmInstance) -> AocmSolution:
         used_tails.add(u)
         used_heads.add(v)
         chosen.append((u, v))
-        value += w
+        total += w
     direction: dict[Edge, Arc] = {}
     for e in inst.graph.edges:
         direction[e] = fixed.get(e, e)
     orientation = Orientation(inst, direction)
-    matching = ControlMatching(tuple(sorted(chosen)), value)
-    return AocmSolution(orientation, matching, value)
+    matching = ControlMatching(tuple(sorted(chosen)), inst.value_of(total))
+    return AocmSolution(orientation, matching, matching.value)

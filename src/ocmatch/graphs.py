@@ -6,20 +6,19 @@ ordered pairs sorted lexicographically. Equal inputs therefore produce
 identical objects, which is what makes the solvers and the command line
 reports reproducible byte for byte.
 
-Weights are 64-bit floats. Comparisons between derived weight values use
-the absolute tolerance ``WEIGHT_TOL``; integer-valued weights (including
-everything the reduction constructions emit) compare exactly.
+Weights are 64-bit floats, hence dyadic rationals. Solvers add and compare
+them exactly as integer multiples of one power-of-two unit per instance
+(``AocmInstance.units``) and round a total back to a float once (``value_of``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ContractError, InputError
-
-WEIGHT_TOL = 1e-9
 
 Edge = tuple[int, int]
 Arc = tuple[int, int]
@@ -203,6 +202,32 @@ class AocmInstance:
 
     def weight(self, u: int, v: int) -> float:
         return self.weights[(u, v)]
+
+    @cached_property
+    def _lattice(self) -> tuple[int, dict[Arc, int]]:
+        scale = 1
+        units: dict[Arc, int] = {}
+        for arc, w in self.weights.items():
+            p, q = w.as_integer_ratio()
+            if q > scale:
+                units = {a: u * (q // scale) for a, u in units.items()}
+                scale = q
+            units[arc] = p * (scale // q)
+        return scale, units
+
+    @property
+    def scale(self) -> int:
+        """The largest weight denominator, a power of two (1 for integer weights)."""
+        return self._lattice[0]
+
+    @property
+    def units(self) -> dict[Arc, int]:
+        """Each weight as the exact integer ``weight * scale``."""
+        return self._lattice[1]
+
+    def value_of(self, total: int) -> float:
+        """A sum of units as a weight, rounded once to the nearest float."""
+        return total / self._lattice[0]
 
     def is_uniform(self) -> bool:
         """True if every ordered direction carries the same weight."""

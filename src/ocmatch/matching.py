@@ -28,16 +28,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ContractError
-from .graphs import (
-    WEIGHT_TOL,
-    AocmInstance,
-    Arc,
-    Digraph,
-    Orientation,
-    validate_orientation,
-)
+from .graphs import AocmInstance, Arc, Digraph, Orientation
 
-_WeightedArc = tuple[int, int, float]
+_WeightedArc = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -273,7 +266,7 @@ class _Kernel:
         return self.size
 
 
-def _assignment_max(items: list[_WeightedArc]) -> float:
+def _assignment_max(items: list[_WeightedArc]) -> int:
     """Maximum total weight of a partial assignment over positive-profit arcs.
 
     Dense O(k^3) assignment on only the k nodes that touch an arc: tails
@@ -282,18 +275,18 @@ def _assignment_max(items: list[_WeightedArc]) -> float:
     assignment value equals the optimal partial matching weight.
     """
     if not items:
-        return 0.0
+        return 0
     rows = {u: i for i, u in enumerate(sorted({u for u, _, _ in items}))}
     cols = {v: j for j, v in enumerate(sorted({v for _, v, _ in items}))}
     n = max(len(rows), len(cols))
-    cost = [[0.0] * n for _ in range(n)]
+    cost = [[0] * n for _ in range(n)]
     for u, v, w in items:
         row = cost[rows[u]]
         if -w < row[cols[v]]:
             row[cols[v]] = -w
     INF = float("inf")
-    u_pot = [0.0] * (n + 1)
-    v_pot = [0.0] * (n + 1)
+    u_pot = [0] * (n + 1)
+    v_pot = [0] * (n + 1)
     assigned = [0] * (n + 1)
     way = [0] * (n + 1)
     for i in range(1, n + 1):
@@ -329,7 +322,7 @@ def _assignment_max(items: list[_WeightedArc]) -> float:
             j1 = way[j0]
             assigned[j0] = assigned[j1]
             j0 = j1
-    total = 0.0
+    total = 0
     for j in range(1, n + 1):
         i = assigned[j]
         if i:
@@ -337,11 +330,11 @@ def _assignment_max(items: list[_WeightedArc]) -> float:
     return -total
 
 
-def _uniform_weight(items: list[_WeightedArc]) -> float | None:
+def _uniform_weight(items: list[_WeightedArc]) -> int | None:
     """The weight shared by every positive arc; None if none is positive or they differ."""
     w0 = None
     for _, _, w in items:
-        if w > 0.0:
+        if w > 0:
             if w0 is None:
                 w0 = w
             elif w != w0:
@@ -349,7 +342,7 @@ def _uniform_weight(items: list[_WeightedArc]) -> float | None:
     return w0
 
 
-def _best_value(n: int, items: list[_WeightedArc]) -> float:
+def _best_value(n: int, items: list[_WeightedArc]) -> int:
     """Best matching value over the given weighted arcs.
 
     Nonpositive arcs never raise the value of a matching that may leave
@@ -360,7 +353,7 @@ def _best_value(n: int, items: list[_WeightedArc]) -> float:
     w0 = _uniform_weight(items)
     if w0 is not None:
         return w0 * _positive_kernel(n, items)[0].repair()
-    return _assignment_max([(u, v, w) for u, v, w in items if w > 0.0])
+    return _assignment_max([(u, v, w) for u, v, w in items if w > 0])
 
 
 def _positive_kernel(n: int, items: list[_WeightedArc]) -> tuple[_Kernel, list[int]]:
@@ -368,15 +361,15 @@ def _positive_kernel(n: int, items: list[_WeightedArc]) -> tuple[_Kernel, list[i
     ids: list[int] = []
     arcs: list[Arc] = []
     for u, v, w in items:
-        ids.append(len(arcs) if w > 0.0 else -1)
-        if w > 0.0:
+        ids.append(len(arcs) if w > 0 else -1)
+        if w > 0:
             arcs.append((u, v))
     return _Kernel(n, arcs), ids
 
 
 def _lex_min_uniform(
-    n: int, items: list[_WeightedArc], w0: float, tol: float
-) -> tuple[tuple[Arc, ...], float]:
+    n: int, items: list[_WeightedArc], w0: int
+) -> tuple[tuple[Arc, ...], int]:
     """:func:`_lex_min_optimal` from one solve, when every positive weight is ``w0``.
 
     The kernel holds the positive arcs from the current position on that
@@ -389,9 +382,9 @@ def _lex_min_uniform(
     kernel, ids = _positive_kernel(n, items)
     best = w0 * kernel.repair()
     chosen: list[Arc] = []
-    total = 0.0
+    total = 0
     for (u, v, w), a in zip(items, ids):
-        if abs(total - best) <= tol:
+        if total == best:
             break
         if kernel.blocked_tail[u] or kernel.blocked_head[v]:
             continue
@@ -404,7 +397,7 @@ def _lex_min_uniform(
         # size - 1 when arc j is positive: arc j would extend it.
         if not matched:
             kernel.repair(size - 1 if a >= 0 else size)
-        if abs(total + w + w0 * kernel.size - best) <= tol:
+        if total + w + w0 * kernel.size == best:
             chosen.append((u, v))
             total += w
             kernel.commit()
@@ -412,14 +405,14 @@ def _lex_min_uniform(
             kernel.rollback()
             if a >= 0 and kernel.deactivate(a):
                 kernel.repair(size)
-    if abs(total - best) > tol:
+    if total != best:
         raise ContractError("internal error: optimal prefix not extendable")
     return tuple(chosen), total
 
 
 def _lex_min_optimal(
-    n: int, items: list[_WeightedArc], tol: float
-) -> tuple[tuple[Arc, ...], float]:
+    n: int, items: list[_WeightedArc]
+) -> tuple[tuple[Arc, ...], int]:
     """The lexicographically smallest arc set among maximum-value matchings.
 
     ``items`` must be sorted by arc. The optimal arc tuple is grown left to
@@ -431,14 +424,14 @@ def _lex_min_optimal(
     """
     w0 = _uniform_weight(items)
     if w0 is not None:
-        return _lex_min_uniform(n, items, w0, tol)
+        return _lex_min_uniform(n, items, w0)
     best = _best_value(n, items)
     chosen: list[Arc] = []
-    total = 0.0
+    total = 0
     used_tails: set[int] = set()
     used_heads: set[int] = set()
     start = 0
-    while abs(total - best) > tol:
+    while total != best:
         committed = False
         for j in range(start, len(items)):
             u, v, w = items[j]
@@ -450,7 +443,7 @@ def _lex_min_optimal(
                 if a != u and b != v and a not in used_tails and b not in used_heads
             ]
             cand = total + w + _best_value(n, free)
-            if abs(cand - best) <= tol:
+            if cand == best:
                 chosen.append((u, v))
                 total += w
                 used_tails.add(u)
@@ -466,8 +459,8 @@ def _lex_min_optimal(
 def max_control_matching(d: Digraph | Orientation) -> ControlMatching:
     """A maximum-cardinality control matching, canonical under ties."""
     rep = bipartite_representation(d)
-    items = [(e.left, e.right, 1.0) for e in rep.edges]
-    arcs, total = _lex_min_optimal(rep.node_count, items, tol=WEIGHT_TOL)
+    items = [(e.left, e.right, 1) for e in rep.edges]
+    arcs, _ = _lex_min_optimal(rep.node_count, items)
     return ControlMatching(arcs, float(len(arcs)))
 
 
@@ -480,9 +473,10 @@ def max_weight_control_matching(inst: AocmInstance, o: Orientation) -> ControlMa
     """
     if o.instance is not inst and o.instance != inst:
         raise ContractError("orientation belongs to a different instance")
-    items = sorted((u, v, inst.weights[(u, v)]) for u, v in o.arcs())
-    arcs, total = _lex_min_optimal(inst.graph.node_count, items, tol=WEIGHT_TOL)
-    return ControlMatching(arcs, total)
+    units = inst.units
+    items = sorted((u, v, units[(u, v)]) for u, v in o.arcs())
+    arcs, total = _lex_min_optimal(inst.graph.node_count, items)
+    return ControlMatching(arcs, inst.value_of(total))
 
 
 def driver_count(d: Digraph | Orientation) -> int:
@@ -505,19 +499,15 @@ class AocmSolution:
 
     def __post_init__(self) -> None:
         o = self.orientation
-        if not validate_orientation(o):
-            raise ContractError("solution orientation is invalid")
         oriented = set(o.arcs())
-        weights = o.instance.weights
-        total = 0.0
+        units = o.instance.units
+        total = 0
         for arc in self.matching.arcs:
             if arc not in oriented:
                 raise ContractError(f"matching arc {arc} is not oriented that way")
-            total += weights[arc]
-        if abs(total - self.value) > WEIGHT_TOL:
-            raise ContractError(
-                f"stated value {self.value} differs from arc-weight sum {total}"
-            )
-        if self.value < -WEIGHT_TOL:
+            total += units[arc]
+        if o.instance.value_of(total) != self.value:
+            raise ContractError(f"stated value {self.value} differs from the arc-weight sum")
+        if self.value < 0:
             raise ContractError("solution value must be nonnegative")
         object.__setattr__(self, "value", float(self.value))

@@ -49,11 +49,12 @@ def max_weight_independent_set(
     ``seed_mask`` must be an independent set; it becomes the incumbent so
     the search only has to beat it. Exceeding ``node_budget`` explored
     search nodes raises ResourceLimitError carrying the best weight known.
+    Sums start from the integer 0, so integer weights stay exact.
     """
     n = len(weights)
     if len(neighbor_masks) != n:
         raise ContractError("weights and neighbor_masks must have equal length")
-    seed_w = 0.0
+    seed_w = 0
     m = seed_mask
     while m:
         low = m & -m
@@ -100,5 +101,5 @@ def max_weight_independent_set(
         branch(remaining & ~(neighbor_masks[pick] | bit), cur_mask | bit, cur_w + weights[pick])
         branch(remaining & ~bit, cur_mask, cur_w)
 
-    branch(candidates, 0, 0.0)
+    branch(candidates, 0, 0)
     return best_mask, best_w

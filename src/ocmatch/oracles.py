@@ -18,25 +18,28 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ContractError, ResourceLimitError
 from .graphs import (
-    WEIGHT_TOL,
     AocmInstance,
     Arc,
     Digraph,
     Orientation,
     UndirectedGraph,
     orientation_from_mask,
-    validate_orientation,
 )
 from .matching import ControlMatching
 from .reductions import CycleCover
+
+
+def _exact(values: Iterable[float]) -> tuple[list[int], int]:
+    """The values as integers over their largest (power-of-two) denominator, and it."""
+    ratios = [float(x).as_integer_ratio() for x in values]
+    scale = max([q for _, q in ratios], default=1)
+    return [p * (scale // q) for p, q in ratios], scale
 
 
 def _oracle_arcs(d: Digraph | Orientation) -> tuple[int, list[Arc]]:
     if isinstance(d, Digraph):
         return d.node_count, sorted(d.arcs)
     if isinstance(d, Orientation):
-        if not validate_orientation(d):
-            raise ContractError("orientation is not a total, legal direction map")
         return d.instance.graph.node_count, sorted(d.arcs())
     raise ContractError(f"expected Digraph or Orientation, got {type(d).__name__}")
 
@@ -58,21 +61,21 @@ def brute_control_matching(
         raise ResourceLimitError(
             f"brute_control_matching caps at {max_arcs} arcs, got {len(arcs)}"
         )
-    arc_w = [1.0 if weights is None else float(weights[a]) for a in arcs]
-    best_val = 0.0
+    arc_w, scale = _exact(1.0 if weights is None else weights[a] for a in arcs)
+    best_val = 0
     best_arcs: tuple[Arc, ...] = ()
     cur: list[Arc] = []
     tails: set[int] = set()
     heads: set[int] = set()
 
-    def consider(val: float) -> None:
+    def consider(val: int) -> None:
         nonlocal best_val, best_arcs
-        if val > best_val + WEIGHT_TOL:
+        if val > best_val:
             best_val, best_arcs = val, tuple(cur)
-        elif abs(val - best_val) <= WEIGHT_TOL and tuple(cur) < best_arcs:
+        elif val == best_val and tuple(cur) < best_arcs:
             best_arcs = tuple(cur)
 
-    def rec(i: int, val: float) -> None:
+    def rec(i: int, val: int) -> None:
         if i == len(arcs):
             consider(val)
             return
@@ -87,8 +90,8 @@ def brute_control_matching(
             tails.discard(u)
             heads.discard(v)
 
-    rec(0, 0.0)
-    return ControlMatching(best_arcs, best_val)
+    rec(0, 0)
+    return ControlMatching(best_arcs, best_val / scale)
 
 
 def brute_2matching(g: UndirectedGraph, *, max_edges: int = 20) -> int:
@@ -145,29 +148,30 @@ def brute_mwis(
             raise ContractError(f"bad edge ({u}, {v}) for {n} nodes")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    best_w = 0.0
+    exact, scale = _exact(node_weights)
+    best_w = 0
     best_set: tuple[int, ...] = ()
     cur: list[int] = []
 
-    def consider(w: float) -> None:
+    def consider(w: int) -> None:
         nonlocal best_w, best_set
-        if w > best_w + WEIGHT_TOL:
+        if w > best_w:
             best_w, best_set = w, tuple(cur)
-        elif abs(w - best_w) <= WEIGHT_TOL and tuple(cur) < best_set:
+        elif w == best_w and tuple(cur) < best_set:
             best_set = tuple(cur)
 
-    def rec(i: int, chosen_mask: int, w: float) -> None:
+    def rec(i: int, chosen_mask: int, w: int) -> None:
         if i == n:
             consider(w)
             return
         rec(i + 1, chosen_mask, w)
         if not (adj[i] & chosen_mask):
             cur.append(i)
-            rec(i + 1, chosen_mask | (1 << i), w + float(node_weights[i]))
+            rec(i + 1, chosen_mask | (1 << i), w + exact[i])
             cur.pop()
 
-    rec(0, 0, 0.0)
-    return frozenset(best_set), best_w
+    rec(0, 0, 0)
+    return frozenset(best_set), best_w / scale
 
 
 def brute_3dcc(d: Digraph, *, max_nodes: int = 9) -> CycleCover | None:

@@ -24,7 +24,6 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ContractError, InputError
 from .graphs import (
-    WEIGHT_TOL,
     AocmInstance,
     Arc,
     Digraph,
@@ -101,18 +100,19 @@ def wis_to_aocm_solution(cg: ConflictGraph, chosen: Iterable[int]) -> AocmSoluti
             if pair in conflict_set:
                 raise ContractError(f"nodes {pair} conflict, the set is not independent")
     direction: dict[Edge, Arc] = {}
-    value = 0.0
+    units = cg.instance.units
+    total = 0
     chosen_arcs: list[Arc] = []
     for i in idx:
         u, v = cg.arcs[i]
         direction[canonical_edge(u, v)] = (u, v)
         chosen_arcs.append((u, v))
-        value += cg.weights[i]
+        total += units[(u, v)]
     for u, v in cg.instance.graph.edges:
         direction.setdefault((u, v), (u, v))
     orientation = Orientation(cg.instance, direction)
-    matching = ControlMatching(tuple(sorted(chosen_arcs)), value)
-    return AocmSolution(orientation, matching, value)
+    matching = ControlMatching(tuple(sorted(chosen_arcs)), cg.instance.value_of(total))
+    return AocmSolution(orientation, matching, matching.value)
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ def extract_cycle_cover(d: Digraph, sol: AocmSolution) -> CycleCover | None:
     if sol.orientation.instance != expected:
         raise ContractError("solution does not belong to the reduced instance")
     n = d.node_count
-    if abs(sol.value - n) > WEIGHT_TOL:
+    if sol.value != n:
         return None
     arcset = set(d.arcs)
     succ: dict[int, int] = {}
@@ -462,8 +462,8 @@ def check_lemma3(gi: GadgetInstance, o: Orientation, *, optimal: bool = False) -
     part = classify_vertex_cases(gi, m.arcs)
     n = gi.source.node_count
     rhs = float(2 * n + len(part.v3))
-    holds = m.value <= rhs + WEIGHT_TOL
-    if optimal and abs(m.value - rhs) > WEIGHT_TOL:
+    holds = m.value <= rhs
+    if optimal and m.value != rhs:
         raise ContractError(
             f"orientation claimed optimal has value {m.value}, bound {rhs}"
         )
@@ -498,9 +498,9 @@ def lreduction_report(
     matched = max_weight_control_matching(gi.host, y)
     v_y = matched.value
     decoded = len(decode_from_matching(gi, matched.arcs))
-    alpha_holds = opt_aocm <= ALPHA * opt_is + WEIGHT_TOL
-    beta_holds = abs(opt_is - decoded) <= BETA * abs(opt_aocm - v_y) + WEIGHT_TOL
-    if abs(v_y - opt_aocm) <= WEIGHT_TOL and decoded != opt_is:
+    alpha_holds = opt_aocm <= ALPHA * opt_is
+    beta_holds = abs(opt_is - decoded) <= BETA * abs(opt_aocm - v_y)
+    if v_y == opt_aocm and decoded != opt_is:
         raise ContractError(
             "an optimal orientation decoded to a non-maximum independent set"
         )

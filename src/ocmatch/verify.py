@@ -19,7 +19,6 @@ from .aocm import solve_aocm_brute, solve_aocm_exact
 from .errors import ContractError
 from .generators import random_digraph, random_weighted_instance
 from .graphs import (
-    WEIGHT_TOL,
     AocmInstance,
     Digraph,
     complete_bipartite,
@@ -112,13 +111,13 @@ def verify_lemma1(
         _, oracle_weight = brute_mwis(cg.weights, cg.conflicts)
         brute = solve_aocm_brute(inst)
         desc = _describe_instance(inst)
-        if abs(weight - brute.value) > WEIGHT_TOL:
+        if weight != brute.value:
             bad.append(f"set weight {weight:g} != optimum {brute.value:g} on {desc}")
-        if abs(weight - oracle_weight) > WEIGHT_TOL:
+        if weight != oracle_weight:
             bad.append(f"solver {weight:g} != oracle {oracle_weight:g} on {desc}")
         chosen = [i for i in range(len(cg.arcs)) if mask >> i & 1]
         mapped = wis_to_aocm_solution(cg, chosen)
-        if abs(mapped.value - weight) > WEIGHT_TOL:
+        if mapped.value != weight:
             bad.append(f"mapped value {mapped.value:g} != set weight {weight:g} on {desc}")
     stats = [
         ("samples", str(samples)),
@@ -133,7 +132,7 @@ def _lemma2_check(d: Digraph) -> str | None:
     inst = dcc3_to_aocm(d)
     sol = solve_aocm_brute(inst)
     n = d.node_count
-    reaches = abs(sol.value - n) <= WEIGHT_TOL
+    reaches = sol.value == n
     cover = brute_3dcc(d)
     if (cover is not None) != reaches:
         side = "cover exists" if cover is not None else "no cover"
@@ -212,19 +211,19 @@ def verify_lemma3(*, seed: int = 0, samples: int = 200) -> SuiteResult:
             bad.append(f"mask={mask}: {exc}")
             continue
         rhs = 2 * n + len(part.v3)
-        if matched.value > rhs + WEIGHT_TOL:
+        if matched.value > rhs:
             bad.append(f"mask={mask}: value {matched.value:g} exceeds bound {rhs}")
         if len(chosen) != len(part.v3):
             bad.append(f"mask={mask}: decoded {len(chosen)} vertices, |v3| is {len(part.v3)}")
         if matched.value > best_value:
             best_value, best_mask = matched.value, mask
-    if abs(best_value - 9.0) > WEIGHT_TOL:
+    if best_value != 9.0:
         bad.append(f"exhaustive optimum {best_value:g}, expected 9")
     top = orientation_from_mask(gi.host, best_mask)
     equality = False
     try:
         check = check_lemma3(gi, top, optimal=True)
-        equality = abs(check.value - check.rhs) <= WEIGHT_TOL
+        equality = check.value == check.rhs
     except ContractError as exc:
         bad.append(f"optimal mask={best_mask}: {exc}")
     decoded_top = decode_g(gi, top)
@@ -281,9 +280,9 @@ def verify_lreduction(*, seed: int = 0, samples: int = 1000) -> SuiteResult:
         opt_is = round(opt_is_weight)
         exact = solve_aocm_exact(gi.host)
         opt_aocm = exact.value
-        if abs(opt_aocm - expected_opt) > WEIGHT_TOL:
+        if opt_aocm != expected_opt:
             bad.append(f"{name}: host optimum {opt_aocm:g}, expected {expected_opt:g}")
-        if abs(opt_aocm - (2 * g.node_count + opt_is)) > WEIGHT_TOL:
+        if opt_aocm != 2 * g.node_count + opt_is:
             bad.append(
                 f"{name}: host optimum {opt_aocm:g} is not 2n + "
                 f"independence number {opt_is}"
@@ -300,7 +299,7 @@ def verify_lreduction(*, seed: int = 0, samples: int = 1000) -> SuiteResult:
         except ContractError as exc:
             bad.append(f"{name}: {exc}")
         public = check_lreduction(g, orientation_from_mask(gi.host, 0))
-        if abs(public.opt_aocm - opt_aocm) > WEIGHT_TOL:
+        if public.opt_aocm != opt_aocm:
             bad.append(f"{name}: public wrapper optimum {public.opt_aocm:g} disagrees")
         m = gi.host.graph.edge_count
         for _ in range(samples):

@@ -13,8 +13,14 @@ from ocmatch.graphs import (
     path_graph,
     uniform_instance,
 )
-from ocmatch.generators import random_digraph, random_graph, random_weighted_instance
+from ocmatch.generators import (
+    random_connected_graph,
+    random_digraph,
+    random_graph,
+    random_weighted_instance,
+)
 from ocmatch.matching import max_weight_control_matching
+from ocmatch.oracles import brute_control_matching
 from ocmatch.reductions import build_gadget_f, dcc3_to_aocm
 
 TOL = 1e-9
@@ -49,6 +55,44 @@ class TestBruteAgainstExact:
             exact = solve_aocm_exact(inst)
             again = max_weight_control_matching(inst, exact.orientation)
             assert exact.matching.arcs == again.arcs
+
+
+def offset_instance(seed):
+    """Weights 1e9 + uniform(0, 1e3): float sums of these differ in the last bits."""
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, 7, 12)
+    weights = {}
+    for u, v in g.edges:
+        weights[(u, v)] = 1e9 + rng.uniform(0, 1e3)
+        weights[(v, u)] = 1e9 + rng.uniform(0, 1e3)
+    return AocmInstance(g, weights)
+
+
+MAGNITUDES = (1e-300, 5e-324, 0.1, 0.2, 0.3, 1e9, 1e15, -1.0)
+
+
+class TestExactWeights:
+    def test_offset_weights_agree(self):
+        for seed in range(6):
+            inst = offset_instance(seed)
+            assert solve_aocm_exact(inst).value == solve_aocm_brute(inst).value
+
+    def test_mixed_magnitudes_agree_with_the_oracle(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            n = rng.randint(2, 7)
+            g = random_graph(rng, n, rng.randint(1, min(10, n * (n - 1) // 2)))
+            weights = {}
+            for u, v in g.edges:
+                weights[(u, v)] = rng.choice(MAGNITUDES)
+                weights[(v, u)] = rng.choice(MAGNITUDES)
+            inst = AocmInstance(g, weights)
+            exact = solve_aocm_exact(inst)
+            brute = solve_aocm_brute(inst)
+            for sol in (exact, brute):
+                oracle = brute_control_matching(sol.orientation, inst.weights)
+                assert sol.matching.arcs == oracle.arcs
+                assert sol.value == oracle.value == brute.value
 
 
 class TestBruteTieBreak:
@@ -202,6 +246,17 @@ class TestResourceCaps:
             solve_aocm_exact(host, node_budget=1)
         assert info.value.best_bound is not None
         assert info.value.best_bound >= 9.0 - TOL
+
+    def test_exact_budget_bound_is_in_weight_units(self):
+        weights = {}
+        for i, (u, v) in enumerate(complete_graph(4).edges):
+            weights[(u, v)] = 0.5 + i / 8
+            weights[(v, u)] = 0.25 * (i % 3)
+        inst = AocmInstance(complete_graph(4), weights)
+        with pytest.raises(ResourceLimitError) as info:
+            solve_aocm_exact(inst, node_budget=1)
+        assert isinstance(info.value.best_bound, float)
+        assert info.value.best_bound == solve_aocm_greedy(inst).value
 
 
 class TestDegenerateInstances:

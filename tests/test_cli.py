@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import ocmatch.cli
@@ -9,6 +11,7 @@ from ocmatch.fileio import (
     write_digraph,
     write_undirected,
 )
+from ocmatch.generators import random_connected_graph
 from ocmatch.graphs import (
     AocmInstance,
     Digraph,
@@ -91,6 +94,21 @@ class TestSolveAocm:
         _, plain, _ = run(capsys, "solve-aocm", f, "--mode", "brute")
         _, split, _ = run(capsys, "solve-aocm", f, "--mode", "brute", "--partitions", "3")
         assert plain == split
+
+    def test_offset_weights_solve_exactly(self, tmp_path, capsys):
+        rng = random.Random(0)
+        g = random_connected_graph(rng, 7, 12)
+        weights = {}
+        for u, v in g.edges:
+            weights[(u, v)] = 1e9 + rng.uniform(0, 1e3)
+            weights[(v, u)] = 1e9 + rng.uniform(0, 1e3)
+        f = write(tmp_path, "offset.txt", write_aocm(AocmInstance(g, weights)))
+        values = []
+        for mode in ("exact", "brute"):
+            code, out, err = run(capsys, "solve-aocm", f, "--mode", mode)
+            assert code == 0, err
+            values.append(from_text(out).get("value"))
+        assert values[0] == values[1]
 
     def test_partitions_require_brute_mode(self, tmp_path, capsys):
         inst = AocmInstance(path_graph(2), {(0, 1): 1.0, (1, 0): 1.0})

@@ -23,6 +23,14 @@ from ocmatch.reductions import is_valid_cycle_cover
 
 
 class TestBruteControlMatching:
+    def test_exact_sums_decide_near_ties(self):
+        # 0.1 + 0.2 is exactly above 0.3, so the pair beats the
+        # lexicographically smaller single arc.
+        d = Digraph(3, ((0, 1), (0, 2), (2, 1)))
+        sol = brute_control_matching(d, {(0, 1): 0.3, (0, 2): 0.1, (2, 1): 0.2})
+        assert sol.arcs == ((0, 2), (2, 1))
+        assert sol.value == 0.1 + 0.2
+
     def test_directed_triangle_is_fully_matched(self):
         d = Digraph(3, ((0, 1), (1, 2), (2, 0)))
         sol = brute_control_matching(d)
