@@ -292,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         report, failed = args.func(args)
-    except InputError as exc:
+    except (InputError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

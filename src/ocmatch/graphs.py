@@ -289,10 +289,10 @@ class Orientation:
 def validate_orientation(o: Orientation) -> bool:
     """Check that every edge is mapped to exactly one of its two directions."""
     edges = o.instance.graph.edges
-    if set(o.direction) != set(edges):
+    if len(o.direction) != len(edges):
         return False
     for u, v in edges:
-        if o.direction[(u, v)] not in ((u, v), (v, u)):
+        if o.direction.get((u, v)) not in ((u, v), (v, u)):
             return False
     return True
 

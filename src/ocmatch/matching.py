@@ -271,22 +271,22 @@ def _assignment_max(items: list[_WeightedArc]) -> int:
 
     Dense O(k^3) assignment on only the k nodes that touch an arc: tails
     and heads are relabelled in increasing order and padded to a square
-    matrix. Absent pairs carry profit zero, so the optimal full
-    assignment value equals the optimal partial matching weight.
+    matrix. A pair costs ``top`` minus its profit (zero if absent). Costs
+    in [0, top] keep the row potentials and the negated column potentials
+    in [0, top], so the int sentinel ``2 * top + 1`` beats every reduced cost.
     """
-    if not items:
-        return 0
     rows = {u: i for i, u in enumerate(sorted({u for u, _, _ in items}))}
     cols = {v: j for j, v in enumerate(sorted({v for _, v, _ in items}))}
     n = max(len(rows), len(cols))
-    cost = [[0] * n for _ in range(n)]
+    top = max([w for _, _, w in items], default=0)
+    cost = [[top] * n for _ in range(n)]
     for u, v, w in items:
         row = cost[rows[u]]
-        if -w < row[cols[v]]:
-            row[cols[v]] = -w
-    INF = float("inf")
+        if top - w < row[cols[v]]:
+            row[cols[v]] = top - w
+    INF = 2 * top + 1
     u_pot = [0] * (n + 1)
-    v_pot = [0] * (n + 1)
+    v_neg = [0] * (n + 1)
     assigned = [0] * (n + 1)
     way = [0] * (n + 1)
     for i in range(1, n + 1):
@@ -302,7 +302,7 @@ def _assignment_max(items: list[_WeightedArc]) -> int:
             row = cost[i0 - 1]
             for j in range(1, n + 1):
                 if not used[j]:
-                    cur = row[j - 1] - u_pot[i0] - v_pot[j]
+                    cur = row[j - 1] - u_pot[i0] + v_neg[j]
                     if cur < minv[j]:
                         minv[j] = cur
                         way[j] = j0
@@ -312,7 +312,7 @@ def _assignment_max(items: list[_WeightedArc]) -> int:
             for j in range(n + 1):
                 if used[j]:
                     u_pot[assigned[j]] += delta
-                    v_pot[j] -= delta
+                    v_neg[j] += delta
                 else:
                     minv[j] -= delta
             j0 = j1
@@ -327,7 +327,7 @@ def _assignment_max(items: list[_WeightedArc]) -> int:
         i = assigned[j]
         if i:
             total += cost[i - 1][j - 1]
-    return -total
+    return n * top - total
 
 
 def _uniform_weight(items: list[_WeightedArc]) -> int | None:

@@ -49,7 +49,6 @@ def max_weight_independent_set(
     ``seed_mask`` must be an independent set; it becomes the incumbent so
     the search only has to beat it. Exceeding ``node_budget`` explored
     search nodes raises ResourceLimitError carrying the best weight known.
-    Sums start from the integer 0, so integer weights stay exact.
     """
     n = len(weights)
     if len(neighbor_masks) != n:

@@ -110,6 +110,13 @@ class TestSolveAocm:
             values.append(from_text(out).get("value"))
         assert values[0] == values[1]
 
+    def test_weight_sum_beyond_float_range_is_an_input_error(self, tmp_path, capsys):
+        f = write(tmp_path, "huge.txt", "4 2 weighted\n0 1 1e308 0\n2 3 1e308 0\n")
+        for mode in ("exact", "brute", "greedy"):
+            code, _, err = run(capsys, "solve-aocm", f, "--mode", mode)
+            assert code == 2, err
+            assert err.startswith("error:")
+
     def test_partitions_require_brute_mode(self, tmp_path, capsys):
         inst = AocmInstance(path_graph(2), {(0, 1): 1.0, (1, 0): 1.0})
         f = write(tmp_path, "edge.txt", write_aocm(inst))
