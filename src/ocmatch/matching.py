@@ -273,7 +273,7 @@ def _assignment_max(items: list[_WeightedArc]) -> int:
     and heads are relabelled in increasing order and padded to a square
     matrix. A pair costs ``top`` minus its profit (zero if absent). Costs
     in [0, top] keep the row potentials and the negated column potentials
-    in [0, top], so the int sentinel ``2 * top + 1`` beats every reduced cost.
+    in [0, top], so the int sentinel ``2 * top + 1`` exceeds every reduced cost.
     """
     rows = {u: i for i, u in enumerate(sorted({u for u, _, _ in items}))}
     cols = {v: j for j, v in enumerate(sorted({v for _, v, _ in items}))}
@@ -507,7 +507,7 @@ class AocmSolution:
                 raise ContractError(f"matching arc {arc} is not oriented that way")
             total += units[arc]
         if o.instance.value_of(total) != self.value:
-            raise ContractError(f"stated value {self.value} differs from the arc-weight sum")
+            raise ContractError(f"stated value {self.value} is not the arc-weight sum")
         if self.value < 0:
             raise ContractError("solution value must be nonnegative")
         object.__setattr__(self, "value", float(self.value))

@@ -30,7 +30,7 @@ from .reductions import CycleCover
 
 
 def _exact(values: Iterable[float]) -> tuple[list[int], int]:
-    """The values as integers over their largest (power-of-two) denominator, and it."""
+    """The values as integers over one power-of-two denominator, and the denominator."""
     ratios = [float(x).as_integer_ratio() for x in values]
     scale = max([q for _, q in ratios], default=1)
     return [p * (scale // q) for p, q in ratios], scale
