@@ -102,37 +102,23 @@ def parse_instance(text: str, source: str = "<string>") -> Instance:
         raise InputError(f"{source}: directed files take 2-field arc lines")
     if weighted and rows and not four:
         raise InputError(f"{source}: weighted header but 2-field edge lines")
-    if directed:
-        arcs = []
-        for ln, fields in rows:
-            u = _parse_int(fields[0], ln, source)
-            v = _parse_int(fields[1], ln, source)
-            _check_range(u, v, n, ln, source)
-            arcs.append((u, v))
-        d, _ = build_digraph(n, arcs)
-        return d
-    if four or weighted:
-        weights: dict[Arc, float] = {}
-        edges = []
-        for ln, fields in rows:
-            u = _parse_int(fields[0], ln, source)
-            v = _parse_int(fields[1], ln, source)
-            _check_range(u, v, n, ln, source)
-            e = canonical_edge(u, v)
-            if e in set(edges):
-                raise InputError(f"{source}:{ln}: duplicate weighted edge {e}")
-            edges.append(e)
-            weights[(u, v)] = _parse_float(fields[2], ln, source)
-            weights[(v, u)] = _parse_float(fields[3], ln, source)
-        return AocmInstance(UndirectedGraph(n, tuple(edges)), weights)
-    plain = []
+    pairs: list[tuple[int, int]] = []
+    weights: dict[Arc, float] = {}
     for ln, fields in rows:
         u = _parse_int(fields[0], ln, source)
         v = _parse_int(fields[1], ln, source)
         _check_range(u, v, n, ln, source)
-        plain.append((u, v))
-    g, _ = build_undirected(n, plain)
-    return g
+        if four:
+            if (u, v) in weights:
+                raise InputError(f"{source}:{ln}: duplicate weighted edge {canonical_edge(u, v)}")
+            weights[(u, v)] = _parse_float(fields[2], ln, source)
+            weights[(v, u)] = _parse_float(fields[3], ln, source)
+        pairs.append((u, v))
+    if directed:
+        return build_digraph(n, pairs)[0]
+    if four or weighted:
+        return AocmInstance(UndirectedGraph(n, tuple(pairs)), weights)
+    return build_undirected(n, pairs)[0]
 
 
 def _check_range(u: int, v: int, n: int, lineno: int, source: str) -> None:

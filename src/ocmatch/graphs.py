@@ -277,11 +277,9 @@ class Orientation:
 
     def encoding(self) -> int:
         """Counter encoding: bit k is 1 when edge k points high to low."""
-        if not validate_orientation(self):
-            raise ContractError("orientation is not a total, legal direction map")
         mask = 0
-        for k, (u, v) in enumerate(self.instance.graph.edges):
-            if self.direction[(u, v)] == (v, u):
+        for k, (e, arc) in enumerate(zip(self.instance.graph.edges, self.arcs())):
+            if arc != e:
                 mask |= 1 << k
         return mask
 

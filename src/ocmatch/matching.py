@@ -20,6 +20,8 @@ as sorted tuples (a strict prefix compares smaller). That pins down one
 canonical answer so repeated runs are reproducible. With uniform positive
 weights the canonical answer comes from one solve, by trying each arc in
 order as a kernel trial; other weights re-solve once per candidate arc.
+Either way the arcs are tried in one forward pass, and an arc that does
+not extend to an optimum is never tried again.
 """
 
 from __future__ import annotations
@@ -88,22 +90,18 @@ class BipartiteRepresentation:
     edges: tuple[BipartiteEdge, ...]
 
 
-def _digraph_view(d: Digraph | Orientation) -> tuple[int, tuple[Arc, ...], dict[Arc, float]]:
-    """Common access to (node_count, sorted arcs, weight per arc)."""
+def _digraph_view(d: Digraph | Orientation) -> tuple[int, tuple[Arc, ...]]:
+    """Common access to (node_count, sorted arcs)."""
     if isinstance(d, Digraph):
-        return d.node_count, d.arcs, {a: 1.0 for a in d.arcs}
+        return d.node_count, d.arcs
     if isinstance(d, Orientation):
-        arcs = tuple(sorted(d.arcs()))
-        return (
-            d.instance.graph.node_count,
-            arcs,
-            {a: d.instance.weights[a] for a in arcs},
-        )
+        return d.instance.graph.node_count, tuple(sorted(d.arcs()))
     raise ContractError(f"expected Digraph or Orientation, got {type(d).__name__}")
 
 
 def bipartite_representation(d: Digraph | Orientation) -> BipartiteRepresentation:
-    n, arcs, weights = _digraph_view(d)
+    n, arcs = _digraph_view(d)
+    weights = d.instance.weights if isinstance(d, Orientation) else dict.fromkeys(arcs, 1.0)
     edges = tuple(
         BipartiteEdge(left=u, right=v, weight=weights[(u, v)], arc=(u, v))
         for u, v in arcs
@@ -415,12 +413,13 @@ def _lex_min_optimal(
 ) -> tuple[tuple[Arc, ...], int]:
     """The lexicographically smallest arc set among maximum-value matchings.
 
-    ``items`` must be sorted by arc. The optimal arc tuple is grown left to
-    right: the smallest arc that still extends to an optimal matching is
-    committed, and the search stops as soon as the committed arcs alone
-    reach the optimum (a strict prefix beats every extension). Uniform
-    positive weights take the one-solve route of :func:`_lex_min_uniform`;
-    other weights re-solve the remaining arcs for every candidate.
+    ``items`` must be sorted by arc. The optimal arc tuple is grown in one
+    pass left to right: an arc is committed when it still extends the
+    committed arcs to an optimal matching, a rejected arc is never tried
+    again, and the pass stops as soon as the committed arcs alone reach
+    the optimum (a strict prefix beats every extension). Uniform positive
+    weights take the one-solve route of :func:`_lex_min_uniform`; other
+    weights re-solve the later arcs for every candidate.
     """
     w0 = _uniform_weight(items)
     if w0 is not None:
@@ -430,38 +429,31 @@ def _lex_min_optimal(
     total = 0
     used_tails: set[int] = set()
     used_heads: set[int] = set()
-    start = 0
-    while total != best:
-        committed = False
-        for j in range(start, len(items)):
-            u, v, w = items[j]
-            if u in used_tails or v in used_heads:
-                continue
-            free = [
-                (a, b, wt)
-                for a, b, wt in items[j + 1 :]
-                if a != u and b != v and a not in used_tails and b not in used_heads
-            ]
-            cand = total + w + _best_value(n, free)
-            if cand == best:
-                chosen.append((u, v))
-                total += w
-                used_tails.add(u)
-                used_heads.add(v)
-                start = j + 1
-                committed = True
-                break
-        if not committed:
-            raise ContractError("internal error: optimal prefix not extendable")
+    for j, (u, v, w) in enumerate(items):
+        if total == best:
+            break
+        if u in used_tails or v in used_heads:
+            continue
+        free = [
+            (a, b, wt)
+            for a, b, wt in items[j + 1 :]
+            if a != u and b != v and a not in used_tails and b not in used_heads
+        ]
+        if total + w + _best_value(n, free) == best:
+            chosen.append((u, v))
+            total += w
+            used_tails.add(u)
+            used_heads.add(v)
+    if total != best:
+        raise ContractError("internal error: optimal prefix not extendable")
     return tuple(chosen), total
 
 
 def max_control_matching(d: Digraph | Orientation) -> ControlMatching:
     """A maximum-cardinality control matching, canonical under ties."""
-    rep = bipartite_representation(d)
-    items = [(e.left, e.right, 1) for e in rep.edges]
-    arcs, _ = _lex_min_optimal(rep.node_count, items)
-    return ControlMatching(arcs, float(len(arcs)))
+    n, arcs = _digraph_view(d)
+    chosen, _ = _lex_min_optimal(n, [(u, v, 1) for u, v in arcs])
+    return ControlMatching(chosen, float(len(chosen)))
 
 
 def max_weight_control_matching(inst: AocmInstance, o: Orientation) -> ControlMatching:
@@ -485,7 +477,7 @@ def driver_count(d: Digraph | Orientation) -> int:
     For the empty graph the formula still yields 1; that value is
     degenerate since there is nothing to drive.
     """
-    n, arcs, _ = _digraph_view(d)
+    n, arcs = _digraph_view(d)
     return max(1, n - _Kernel(n, arcs).repair())
 
 

@@ -16,6 +16,10 @@ node, so in the final matching an edge belongs to the 2-matching exactly
 when its subdivision pair is not matched to each other, and its size is
 the auxiliary matching size minus the edge count. The recovery is checked
 against the exhaustive oracle in the test suite.
+
+One walk over the 2-matching splits it into its paths and cycles, the
+orientation directs each of them, and the optimal matching is read off
+that orientation's arcs on the 2-matching edges.
 """
 
 from __future__ import annotations
@@ -283,7 +287,10 @@ def two_matching_components(tm: TwoMatching) -> list[tuple[str, tuple[int, ...]]
 
     Paths are listed from their smaller endpoint; cycles start at their
     smallest node and step first toward that node's smaller neighbor.
-    Components are returned sorted by their starting node.
+    Components are returned sorted by their starting node. One walk per
+    component covers them all: walks start at path ends first, so a walk
+    from a node still unvisited after them goes round a cycle, which in a
+    simple graph has at least three nodes.
     """
     adj: dict[int, list[int]] = {}
     for u, v in tm.edges:
@@ -293,56 +300,23 @@ def two_matching_components(tm: TwoMatching) -> list[tuple[str, tuple[int, ...]]
         nbrs.sort()
     visited: set[int] = set()
     components: list[tuple[str, tuple[int, ...]]] = []
-    for start in sorted(adj):
-        if start in visited or len(adj[start]) != 1:
-            continue
-        seq = [start]
-        visited.add(start)
-        prev = None
-        cur = start
-        while True:
-            nxt = None
-            for cand in adj[cur]:
-                if cand != prev:
-                    nxt = cand
-                    break
-            if nxt is None:
-                break
-            seq.append(nxt)
-            visited.add(nxt)
-            prev, cur = cur, nxt
-        components.append(("path", tuple(seq)))
-    for start in sorted(adj):
+    for start in sorted(adj, key=lambda u: (len(adj[u]) != 1, u)):
         if start in visited:
             continue
         seq = [start]
         visited.add(start)
-        prev = None
-        cur = start
+        prev, cur = None, start
         while True:
-            nxt = None
-            for cand in adj[cur]:
-                if cand != prev and (cand != start or len(seq) >= 3):
-                    nxt = cand
-                    break
-            if nxt is None or nxt == start:
+            nxt = [c for c in adj[cur] if c != prev]
+            if not nxt or nxt[0] == start:
                 break
-            seq.append(nxt)
-            visited.add(nxt)
-            prev, cur = cur, nxt
-        components.append(("cycle", tuple(seq)))
+            prev, cur = cur, nxt[0]
+            seq.append(cur)
+            visited.add(cur)
+        kind = "path" if len(adj[start]) == 1 else "cycle"
+        components.append((kind, tuple(seq)))
     components.sort(key=lambda c: c[1][0])
     return components
-
-
-def _oriented_arcs(tm: TwoMatching) -> list[Arc]:
-    arcs: list[Arc] = []
-    for kind, seq in two_matching_components(tm):
-        for i in range(len(seq) - 1):
-            arcs.append((seq[i], seq[i + 1]))
-        if kind == "cycle":
-            arcs.append((seq[-1], seq[0]))
-    return arcs
 
 
 def two_matching_to_orientation(inst: AocmInstance, tm: TwoMatching) -> Orientation:
@@ -359,8 +333,10 @@ def two_matching_to_orientation(inst: AocmInstance, tm: TwoMatching) -> Orientat
     if not inst.is_uniform():
         raise ContractError("orientation of a 2-matching expects uniform weights")
     direction: dict[Edge, Arc] = {}
-    for u, v in _oriented_arcs(tm):
-        direction[canonical_edge(u, v)] = (u, v)
+    for kind, seq in two_matching_components(tm):
+        ring = seq + seq[:1] if kind == "cycle" else seq
+        for u, v in zip(ring, ring[1:]):
+            direction[canonical_edge(u, v)] = (u, v)
     for e in inst.graph.edges:
         direction.setdefault(e, e)
     return Orientation(inst, direction)
@@ -375,10 +351,5 @@ def solve_ocm(g: UndirectedGraph) -> tuple[Orientation, ControlMatching]:
     inst = uniform_instance(g)
     tm = max_simple_two_matching(g)
     orientation = two_matching_to_orientation(inst, tm)
-    arcs = tuple(sorted(_oriented_arcs(tm)))
-    matching = ControlMatching(arcs, float(len(arcs)))
-    oriented = set(orientation.arcs())
-    for arc in arcs:
-        if arc not in oriented:
-            raise AssertionError("matching arc lost while orienting")
-    return orientation, matching
+    arcs = tuple(sorted(orientation.direction[e] for e in tm.edges))
+    return orientation, ControlMatching(arcs, float(len(arcs)))

@@ -239,8 +239,15 @@ class GadgetInstance:
         return {pair: node for node, pair in self.t_label.items()}
 
     @cached_property
-    def _source_adjacency(self) -> list[list[int]]:
-        return self.source.adjacency()
+    def _arc_tables(self) -> list[tuple[tuple[Arc, Arc, Arc], tuple[Arc, Arc]]]:
+        """Per source vertex, its edge-arcs and node-arcs, built once."""
+        t = self._t_index
+        tables = []
+        for u, (v1, v2, v3) in enumerate(self.source.adjacency()):
+            edge_arcs = tuple((t[(u, v)], t[(v, u)]) for v in (v1, v2, v3))
+            node_arcs = ((t[(u, v1)], t[(v2, u)]), (t[(u, v2)], t[(v3, u)]))
+            tables.append((edge_arcs, node_arcs))
+        return tables
 
     def t_node(self, u: int, v: int) -> int:
         """The host node labeled t(u, v)."""
@@ -253,16 +260,11 @@ class GadgetInstance:
         central arc of u's conflict chain, the one sharing an endpoint
         with both of u's node-arcs.
         """
-        nbrs = self._source_adjacency[u]
-        return tuple((self.t_node(u, v), self.t_node(v, u)) for v in nbrs)
+        return self._arc_tables[u][0]
 
     def node_arcs_of(self, u: int) -> tuple[Arc, Arc]:
         """The two node-arcs associated with u."""
-        v1, v2, v3 = self._source_adjacency[u]
-        return (
-            (self.t_node(u, v1), self.t_node(v2, u)),
-            (self.t_node(u, v2), self.t_node(v3, u)),
-        )
+        return self._arc_tables[u][1]
 
 
 def build_gadget_f(g: UndirectedGraph) -> GadgetInstance:

@@ -128,22 +128,24 @@ def verify_lemma1(
     return _finish("lemma1", stats, bad)
 
 
-def _lemma2_check(d: Digraph) -> str | None:
+def _lemma2_check(d: Digraph) -> tuple[bool, str | None]:
+    """Whether the cover oracle finds a cover, and the violation found, if any."""
     inst = dcc3_to_aocm(d)
     sol = solve_aocm_brute(inst)
     n = d.node_count
     reaches = sol.value == n
     cover = brute_3dcc(d)
-    if (cover is not None) != reaches:
-        side = "cover exists" if cover is not None else "no cover"
-        return f"{side} but optimum {sol.value:g}, n={n}, on {_describe_digraph(d)}"
-    if cover is not None and not is_valid_cycle_cover(d, cover):
-        return f"oracle cover invalid on {_describe_digraph(d)}"
+    has_cover = cover is not None
+    if has_cover != reaches:
+        side = "cover exists" if has_cover else "no cover"
+        return has_cover, f"{side} but optimum {sol.value:g}, n={n}, on {_describe_digraph(d)}"
+    if has_cover and not is_valid_cycle_cover(d, cover):
+        return has_cover, f"oracle cover invalid on {_describe_digraph(d)}"
     if reaches:
         extracted = extract_cycle_cover(d, sol)
         if extracted is None or not is_valid_cycle_cover(d, extracted):
-            return f"extracted cover invalid on {_describe_digraph(d)}"
-    return None
+            return has_cover, f"extracted cover invalid on {_describe_digraph(d)}"
+    return has_cover, None
 
 
 def verify_lemma2(
@@ -160,21 +162,19 @@ def verify_lemma2(
     covers = 0
     for mask in range(1 << len(pairs)):
         arcs = tuple(pairs[k] for k in range(len(pairs)) if mask >> k & 1)
-        d = Digraph(4, arcs)
-        err = _lemma2_check(d)
+        has_cover, err = _lemma2_check(Digraph(4, arcs))
         if err is not None:
             bad.append(err)
-        elif brute_3dcc(d) is not None:
+        elif has_cover:
             covers += 1
     rng = random.Random(seed)
     sampled_covers = 0
     for _ in range(samples):
         n = rng.randint(1, max_n)
-        d = random_digraph(rng, n, max_support)
-        err = _lemma2_check(d)
+        has_cover, err = _lemma2_check(random_digraph(rng, n, max_support))
         if err is not None:
             bad.append(err)
-        elif brute_3dcc(d) is not None:
+        elif has_cover:
             sampled_covers += 1
     stats = [
         ("exhaustive_digraphs", str(1 << len(pairs))),

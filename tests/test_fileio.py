@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +89,20 @@ class TestRoundTrips:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="cannot read"):
             load_instance(tmp_path / "missing.txt")
+
+    def test_large_weighted_file_parses_in_linear_time(self):
+        n = 10_000
+        g = UndirectedGraph(n, tuple((i, (i + k) % n) for i in range(n) for k in (1, 2, 3)))
+        weights = {}
+        for u, v in g.edges:
+            weights[(u, v)] = float((7 * u + v) % 11)
+            weights[(v, u)] = (u % 5) / 4
+        text = write_aocm(AocmInstance(g, weights))
+        started = time.perf_counter()
+        inst = parse_instance(text)
+        assert time.perf_counter() - started < 10
+        assert inst.graph.edge_count == 30_000
+        assert write_aocm(inst) == text
 
 
 class TestParsingTolerance:

@@ -9,6 +9,7 @@ from ocmatch.errors import ContractError
 from ocmatch.generators import random_connected_graph, random_graph
 from ocmatch.graphs import (
     UndirectedGraph,
+    canonical_edge,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -197,6 +198,47 @@ class TestComponents:
                     assert len(seq) >= 2
                     edge_total += len(seq) - 1
             assert edge_total == tm.size
+
+    def test_walk_order_on_random_paths_and_cycles(self):
+        rng = random.Random(9)
+        for _ in range(200):
+            n = rng.randint(6, 30)
+            order = list(range(n))
+            rng.shuffle(order)
+            planted = []
+            edges = set()
+            while len(order) >= 2:
+                size = min(rng.randint(2, 6), len(order))
+                nodes, order = order[:size], order[size:]
+                kind = "cycle" if size >= 3 and rng.random() < 0.5 else "path"
+                planted.append((kind, tuple(sorted(nodes))))
+                ring = nodes + nodes[:1] if kind == "cycle" else nodes
+                edges.update(canonical_edge(u, v) for u, v in zip(ring, ring[1:]))
+            extra = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.1}
+            g = UndirectedGraph(n, tuple(edges | extra))
+            comps = two_matching_components(TwoMatching(g, tuple(edges)))
+            assert sorted((k, tuple(sorted(seq))) for k, seq in comps) == sorted(planted)
+            starts = [seq[0] for _, seq in comps]
+            assert starts == sorted(starts)
+            for kind, seq in comps:
+                if kind == "path":
+                    assert seq[0] < seq[-1]
+                else:
+                    assert seq[0] == min(seq) and seq[1] < seq[-1]
+
+    def test_solve_ocm_matching_follows_the_walks(self):
+        rng = random.Random(11)
+        for _ in range(100):
+            n = rng.randint(2, 14)
+            g = random_graph(rng, n, rng.randint(1, min(22, n * (n - 1) // 2)))
+            orientation, matching = solve_ocm(g)
+            tm = max_simple_two_matching(g)
+            walked = []
+            for kind, seq in two_matching_components(tm):
+                ring = seq + seq[:1] if kind == "cycle" else seq
+                walked.extend(zip(ring, ring[1:]))
+            on_tm = [a for a in orientation.arcs() if canonical_edge(*a) in set(tm.edges)]
+            assert matching.arcs == tuple(sorted(walked)) == tuple(sorted(on_tm))
 
 
 class TestOrientation:
