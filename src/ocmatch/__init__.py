@@ -41,7 +41,6 @@ from .graphs import (
 from .matching import (
     AocmSolution,
     ControlMatching,
-    bipartite_representation,
     driver_count,
     max_control_matching,
     max_weight_control_matching,
@@ -108,7 +107,6 @@ __all__ = [
     "UndirectedGraph",
     "VertexCasePartition",
     "aocm_to_wis",
-    "bipartite_representation",
     "build_gadget_f",
     "check_lemma3",
     "check_lreduction",

@@ -3,9 +3,9 @@
 Three routes with different cost and guarantee profiles:
 
 * brute force scans every orientation in reflected Gray-code order and
-  takes the best matching value, usable up to 24 edges; with uniform
-  positive weights each step flips one edge and repairs one matching
-  instead of solving the orientation afresh;
+  takes the best matching value, usable up to 24 edges; each step flips
+  one edge and repairs one maximum-weight matching instead of solving
+  the orientation afresh;
 * exact solves a maximum-weight independent set on the conflict graph by
   branch and bound, seeded with the greedy solution;
 * greedy accepts ordered directions by descending weight while their
@@ -32,9 +32,7 @@ from .graphs import (
 from .matching import (
     AocmSolution,
     ControlMatching,
-    _best_value,
     _positive_kernel,
-    _uniform_weight,
     max_weight_control_matching,
 )
 from .mwis import max_weight_independent_set
@@ -48,53 +46,6 @@ __all__ = [
 ]
 
 
-def _gray_scan_uniform(
-    n: int,
-    forward: list[tuple[int, int, int]],
-    reverse: list[tuple[int, int, int]],
-    w0: int,
-    lo: int,
-    hi: int,
-) -> tuple[int, int]:
-    """:func:`_scan_orientations` when every positive weight is ``w0``.
-
-    One matching kernel holds the positive arcs of the current
-    orientation. Each Gray step flips one edge: the old direction is
-    switched off (unmatching it if it was matched), the new one on, and
-    the matching is repaired, usually by one augmentation.
-    """
-    m = len(forward)
-    kernel, ids = _positive_kernel(n, forward + reverse)
-    pairs = list(zip(ids[:m], ids[m:]))
-    mask = lo ^ (lo >> 1)
-    for k, (fwd, rev) in enumerate(pairs):
-        off = fwd if (mask >> k) & 1 else rev
-        if off >= 0:
-            kernel.deactivate(off)
-    size = kernel.repair()
-    best_val = w0 * size
-    best_mask = mask
-    for i in range(lo + 1, hi):
-        k = (i & -i).bit_length() - 1
-        mask ^= 1 << k
-        fwd, rev = pairs[k]
-        off, on = (fwd, rev) if (mask >> k) & 1 else (rev, fwd)
-        # Losing an arc can only lower the maximum, and gaining one raises
-        # it by at most one.
-        changed = off >= 0 and kernel.deactivate(off)
-        if on >= 0:
-            kernel.activate(on)
-            size += 1
-            changed = True
-        if changed:
-            size = kernel.repair(size)
-        val = w0 * size
-        if val > best_val or (val == best_val and mask < best_mask):
-            best_val = val
-            best_mask = mask
-    return best_val, best_mask
-
-
 def _scan_orientations(
     inst: AocmInstance, lo: int, hi: int
 ) -> tuple[int, int]:
@@ -104,28 +55,37 @@ def _scan_orientations(
     reflected Gray code), so consecutive indices differ in one edge.
     Within the range the largest value wins, ties going to the smallest
     counter, so the result is independent of how ranges are later
-    stitched together. Uniform positive weights are scanned
-    incrementally; other instances solve each orientation afresh.
+    stitched together. One matching kernel holds the positive arcs of
+    the current orientation: each step switches the old direction of the
+    flipped edge off and the new one on, then repairs the matching.
     """
     n = inst.graph.node_count
     units = inst.units
-    forward: list[tuple[int, int, int]] = []
-    reverse: list[tuple[int, int, int]] = []
-    for u, v in inst.graph.edges:
-        forward.append((u, v, units[(u, v)]))
-        reverse.append((v, u, units[(v, u)]))
-    w0 = _uniform_weight(forward + reverse)
-    if w0 is not None:
-        return _gray_scan_uniform(n, forward, reverse, w0, lo, hi)
-    m = len(forward)
-    best_val = -1
-    best_mask = 0
-    for i in range(lo, hi):
-        mask = i ^ (i >> 1)
-        items = [
-            reverse[k] if (mask >> k) & 1 else forward[k] for k in range(m)
-        ]
-        val = _best_value(n, items)
+    edges = inst.graph.edges
+    m = len(edges)
+    kernel, ids = _positive_kernel(
+        n, [(u, v, units[(u, v)]) for u, v in edges] + [(v, u, units[(v, u)]) for u, v in edges]
+    )
+    pairs = list(zip(ids[:m], ids[m:]))
+    mask = lo ^ (lo >> 1)
+    for k, (fwd, rev) in enumerate(pairs):
+        off = fwd if (mask >> k) & 1 else rev
+        if off >= 0:
+            kernel.deactivate(off)
+    kernel.repair()
+    best_val = kernel.value
+    best_mask = mask
+    for i in range(lo + 1, hi):
+        k = (i & -i).bit_length() - 1
+        mask ^= 1 << k
+        fwd, rev = pairs[k]
+        off, on = (fwd, rev) if (mask >> k) & 1 else (rev, fwd)
+        if off >= 0:
+            kernel.deactivate(off)
+        if on >= 0:
+            kernel.activate(on)
+        kernel.repair()
+        val = kernel.value
         if val > best_val or (val == best_val and mask < best_mask):
             best_val = val
             best_mask = mask

@@ -5,34 +5,34 @@ most one arc and the tail of at most one arc. A node is matched when it
 is the head of a matching arc; unmatched nodes each need their own
 driver, except that at least one driver is always required.
 
-The maximum matching is found on the bipartite representation: one left
-copy of each node acting as a tail, one right copy acting as a head, and
-one bipartite edge per arc. Cardinality uses one incremental kernel:
-Hopcroft–Karp layered phases with an explicit-stack search, arcs that can
-be switched off and on, tail and head copies that can be blocked, and an
-undo log for trials. Weighted uses a dense assignment solve over the
-nodes that touch positive arcs, with the kernel as the fast path when all
-positive weights coincide.
+Every maximum matching here is a maximum-weight matching between tail
+copies and head copies, one bipartite edge per arc; cardinality is the
+unit-weight case. One incremental kernel solves them all. It keeps
+integer LP duals next to the matching, and after each edit (an arc
+switched off or on, a tail and a head copy blocked) it runs one
+Hungarian search from each copy the edit freed. Its writes are logged
+so that a trial can be rolled back.
 
 Among equal-value matchings every operation returns the lexicographically
 smallest arc set under canonical arc order, where arc sets are compared
 as sorted tuples (a strict prefix compares smaller). That pins down one
-canonical answer so repeated runs are reproducible. With uniform positive
-weights the canonical answer comes from one solve, by trying each arc in
-order as a kernel trial; other weights re-solve once per candidate arc.
-Either way the arcs are tried in one forward pass, and an arc that does
-not extend to an optimum is never tried again.
+canonical answer so repeated runs are reproducible. The canonical answer
+comes from one solve: arcs are tried in one forward pass, an arc whose
+reduced cost under the optimal dual is positive is rejected outright, and
+a tight arc is kept when the rest repairs without moving a dual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Sequence
 
 from .errors import ContractError
 from .graphs import AocmInstance, Arc, Digraph, Orientation
 
 _WeightedArc = tuple[int, int, int]
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -69,27 +69,6 @@ class ControlMatching:
         return frozenset(v for _, v in self.arcs)
 
 
-@dataclass(frozen=True)
-class BipartiteEdge:
-    left: int
-    right: int
-    weight: float
-    arc: Arc
-
-
-@dataclass(frozen=True)
-class BipartiteRepresentation:
-    """Tail copies on the left, head copies on the right, one edge per arc.
-
-    Left copy i and right copy i both refer to original node i; each edge
-    keeps a back-reference to the arc it came from, so matchings translate
-    back and forth without loss.
-    """
-
-    node_count: int
-    edges: tuple[BipartiteEdge, ...]
-
-
 def _digraph_view(d: Digraph | Orientation) -> tuple[int, tuple[Arc, ...]]:
     """Common access to (node_count, sorted arcs)."""
     if isinstance(d, Digraph):
@@ -99,47 +78,65 @@ def _digraph_view(d: Digraph | Orientation) -> tuple[int, tuple[Arc, ...]]:
     raise ContractError(f"expected Digraph or Orientation, got {type(d).__name__}")
 
 
-def bipartite_representation(d: Digraph | Orientation) -> BipartiteRepresentation:
-    n, arcs = _digraph_view(d)
-    weights = d.instance.weights if isinstance(d, Orientation) else dict.fromkeys(arcs, 1.0)
-    edges = tuple(
-        BipartiteEdge(left=u, right=v, weight=weights[(u, v)], arc=(u, v))
-        for u, v in arcs
-    )
-    return BipartiteRepresentation(n, edges)
-
-
 class _Kernel:
-    """Incremental maximum matching between tail copies and head copies.
+    """Incremental maximum-weight matching between tail copies and head copies.
 
     Arc ``a`` joins the tail copy of ``tails[a]`` to the head copy of
-    ``heads[a]``. The matching is kept per side as the matched arc id, or
-    -1 for a free copy. Arcs can be switched off and on, and a tail and a
-    head copy can be blocked; each change unmatches what it touches, and
-    :meth:`repair` restores a maximum matching by Hopcroft–Karp layered
-    phases whose depth-first search runs on an explicit stack, so path
-    length is not bounded by the recursion limit. Changes made after
-    :meth:`begin` form a trial: every write is logged until
-    :meth:`commit` keeps them or :meth:`rollback` undoes them.
+    ``heads[a]`` and weighs ``weight[a]``, a positive int. The matching is
+    kept per side as the matched arc id, or -1 for a free copy, and
+    ``value`` is its weight. Nonnegative int LP duals ``y`` (tails) and
+    ``z`` (heads) keep ``y[u] + z[v] >= weight[a]`` on every usable arc,
+    with equality on matched arcs, so the matching has maximum weight
+    exactly when no free copy has a positive dual.
+
+    Arcs can be switched off and on, and a tail and a head copy can be
+    blocked. Each change unmatches what it touches and records the copies
+    it frees, and :meth:`repair` runs one Hungarian search (Kuhn 1955)
+    from each of them that still has a positive dual. Changes made after
+    :meth:`begin` form a trial: every write, duals included, is logged
+    until :meth:`commit` keeps them or :meth:`rollback` undoes them.
     """
 
-    def __init__(self, n: int, arcs: Sequence[Arc]) -> None:
+    def __init__(self, n: int, arcs: Sequence[Arc], weights: Sequence[int]) -> None:
         self.tails = [u for u, _ in arcs]
         self.heads = [v for _, v in arcs]
+        self.weight = weight = list(weights)
         self.out: list[list[int]] = [[] for _ in range(n)]
-        for a, u in enumerate(self.tails):
+        self.inn: list[list[int]] = [[] for _ in range(n)]
+        self.y = y = [0] * n
+        self.z = [0] * n
+        for a, (u, v) in enumerate(arcs):
             self.out[u].append(a)
-        # Only tails with arcs can start a search; scanning these instead
-        # of all n copies keeps isolated nodes out of every phase.
-        self.sources = [u for u in range(n) if self.out[u]]
+            self.inn[v].append(a)
+            if weight[a] > y[u]:
+                y[u] = weight[a]
         self.active = [True] * len(arcs)
-        self.tail_arc = [-1] * n
-        self.head_arc = [-1] * n
+        self.tail_arc = tail_arc = [-1] * n
+        self.head_arc = head_arc = [-1] * n
         self.blocked_tail = [False] * n
         self.blocked_head = [False] * n
-        self.size = 0
+        self.value = 0
+        # Each tail starts at its heaviest arc weight, heads at zero, and
+        # tight arcs are matched greedily; the tails left free with a
+        # positive dual are the first search roots.
+        for a, (u, v) in enumerate(arcs):
+            if tail_arc[u] < 0 and head_arc[v] < 0 and weight[a] == y[u]:
+                tail_arc[u] = head_arc[v] = a
+                self.value += weight[a]
+        # Freed copies: a tail as its node id, a head as its complement.
+        self.freed = [u for u in range(n) if tail_arc[u] < 0 and y[u] > 0]
         self.log: list[tuple[list, int, object]] | None = None
-        self.trial_size = 0
+        # A tail search walks out-lists to heads, a head search in-lists to
+        # tails; each side keeps distance labels and tree arcs for its far
+        # copies, reset after every search.
+        self.tail_side = (
+            self.out, self.tails, self.heads, tail_arc, head_arc,
+            self.blocked_head, y, self.z, [_INF] * n, [0] * n,
+        )
+        self.head_side = (
+            self.inn, self.heads, self.tails, head_arc, tail_arc,
+            self.blocked_tail, self.z, y, [_INF] * n, [0] * n,
+        )
 
     def _set(self, values: list, i: int, value: object) -> None:
         if self.log is not None:
@@ -147,13 +144,15 @@ class _Kernel:
         values[i] = value
 
     def _unmatch(self, a: int) -> None:
-        self._set(self.tail_arc, self.tails[a], -1)
-        self._set(self.head_arc, self.heads[a], -1)
-        self.size -= 1
+        u, v = self.tails[a], self.heads[a]
+        self._set(self.tail_arc, u, -1)
+        self._set(self.head_arc, v, -1)
+        self.value -= self.weight[a]
+        self.freed += (u, ~v)
 
     def begin(self) -> None:
         self.log = []
-        self.trial_size = self.size
+        self.trial: tuple[int, list[int]] = (self.value, list(self.freed))
 
     def commit(self) -> None:
         self.log = None
@@ -161,19 +160,24 @@ class _Kernel:
     def rollback(self) -> None:
         for values, i, old in reversed(self.log):
             values[i] = old
-        self.size = self.trial_size
+        self.value, self.freed = self.trial
         self.log = None
 
     def activate(self, a: int) -> None:
+        """Switch arc ``a`` on; raise its tail's dual first if the arc would violate it."""
         self._set(self.active, a, True)
+        u = self.tails[a]
+        need = self.weight[a] - self.z[self.heads[a]]
+        if self.y[u] < need:
+            if self.tail_arc[u] >= 0:
+                self._unmatch(self.tail_arc[u])
+            self.freed.append(u)
+            self._set(self.y, u, need)
 
-    def deactivate(self, a: int) -> bool:
-        """Switch arc ``a`` off; True if that unmatched it."""
+    def deactivate(self, a: int) -> None:
         self._set(self.active, a, False)
         if self.tail_arc[self.tails[a]] == a:
             self._unmatch(a)
-            return True
-        return False
 
     def block(self, tail: int, head: int) -> None:
         """Take a tail copy and a head copy out of the graph."""
@@ -184,228 +188,145 @@ class _Kernel:
         self._set(self.blocked_tail, tail, True)
         self._set(self.blocked_head, head, True)
 
-    def repair(self, bound: int | None = None) -> int:
-        """Augment to a maximum matching and return its size.
+    def repair(self, tight_only: bool = False) -> bool:
+        """Restore a maximum-weight matching; False if that failed.
 
-        A caller that knows the maximum is at most ``bound`` saves the
-        final search, the one that finds no augmenting path.
+        Only ``tight_only`` can fail: it forbids moving a dual, so a
+        repaired matching weighs the dual sum. False means every maximum
+        weighs less than that sum, and the kernel is left half repaired,
+        for :meth:`rollback`.
         """
-        out, tails, heads, active = self.out, self.tails, self.heads, self.active
-        tail_arc, head_arc = self.tail_arc, self.head_arc
-        blocked_tail, blocked_head = self.blocked_tail, self.blocked_head
-        n = len(out)
-        if bound is None:
-            bound = n
-        while self.size < bound:
-            roots = [u for u in self.sources if tail_arc[u] < 0 and not blocked_tail[u]]
-            if not roots:
-                break
-            # Layer tails by alternating distance from the free tails; the
-            # first layer that reaches a free head ends the layering.
-            dist = [-1] * n
-            for u in roots:
-                dist[u] = 0
-            queue = list(roots)
-            limit = -1
-            for u in queue:
-                d = dist[u]
-                if d == limit:
-                    break
-                for a in out[u]:
-                    if not active[a] or blocked_head[heads[a]]:
-                        continue
-                    b = head_arc[heads[a]]
-                    if b < 0:
-                        limit = d + 1
-                    elif dist[tails[b]] < 0:
-                        dist[tails[b]] = d + 1
-                        queue.append(tails[b])
-            if limit < 0:
-                break
-            # Vertex-disjoint shortest augmenting paths along the layers;
-            # next_arc lets each tail resume its scan, and a tail that runs
-            # out of arcs is marked dead for the rest of the phase.
-            next_arc = [0] * n
-            for root in roots:
-                stack = [root]
-                path: list[int] = []
-                while stack:
-                    u = stack[-1]
-                    d = dist[u]
-                    arcs_u = out[u]
-                    i = next_arc[u]
-                    step = -1
-                    while i < len(arcs_u):
-                        a = arcs_u[i]
-                        i += 1
-                        if not active[a] or blocked_head[heads[a]]:
-                            continue
-                        b = head_arc[heads[a]]
-                        if b < 0 or (d + 1 < limit and dist[tails[b]] == d + 1):
-                            step = a
-                            break
-                    next_arc[u] = i
-                    if step < 0:
-                        dist[u] = -2
-                        stack.pop()
-                        if path:
-                            path.pop()
-                        continue
-                    path.append(step)
-                    b = head_arc[heads[step]]
-                    if b >= 0:
-                        stack.append(tails[b])
-                        continue
-                    for a in path:
-                        self._set(tail_arc, tails[a], a)
-                        self._set(head_arc, heads[a], a)
-                    self.size += 1
-                    break
-        return self.size
+        freed = self.freed
+        while freed:
+            c = freed.pop()
+            if c >= 0:
+                if self.tail_arc[c] < 0 and self.y[c] > 0 and not self.blocked_tail[c]:
+                    if not self._search(c, self.tail_side, tight_only):
+                        return False
+            elif self.head_arc[~c] < 0 and self.z[~c] > 0 and not self.blocked_head[~c]:
+                if not self._search(~c, self.head_side, tight_only):
+                    return False
+        return True
 
+    def _search(self, root: int, side: tuple, tight_only: bool) -> bool:
+        """One Hungarian search from the free copy ``root``, whose dual is positive.
 
-def _assignment_max(items: list[_WeightedArc]) -> int:
-    """Maximum total weight of a partial assignment over positive-profit arcs.
+        ``near`` copies are on the root's side and ``far`` copies opposite;
+        an arc's reduced cost is ``mine[u] + other[v] - weight[a]``. Far
+        copies are settled in Dijkstra order (those reached by a tight arc
+        skip the heap), a settled matched far copy brings its partner into
+        the tree, and a tree copy whose dual would fall below zero bounds
+        the search. It ends at the first of:
 
-    Dense O(k^3) assignment on only the k nodes that touch an arc: tails
-    and heads are relabelled in increasing order and padded to a square
-    matrix. A pair costs ``top`` minus its profit (zero if absent). Costs
-    in [0, top] keep the row potentials and the negated column potentials
-    in [0, top], so the int sentinel ``2 * top + 1`` exceeds every reduced cost.
-    """
-    rows = {u: i for i, u in enumerate(sorted({u for u, _, _ in items}))}
-    cols = {v: j for j, v in enumerate(sorted({v for _, v, _ in items}))}
-    n = max(len(rows), len(cols))
-    top = max([w for _, _, w in items], default=0)
-    cost = [[top] * n for _ in range(n)]
-    for u, v, w in items:
-        row = cost[rows[u]]
-        if top - w < row[cols[v]]:
-            row[cols[v]] = top - w
-    INF = 2 * top + 1
-    u_pot = [0] * (n + 1)
-    v_neg = [0] * (n + 1)
-    assigned = [0] * (n + 1)
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        assigned[0] = i
-        j0 = 0
-        minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
+        * a free far copy: the path to it augments;
+        * that bound, at the root: the root's dual becomes zero;
+        * that bound, at an inner copy: its matched arc is dropped and the
+          path to it flips, so the root is matched and the copy left free.
+
+        Duals then shift by the final distance, which keeps every arc
+        feasible and every tree arc tight. With ``tight_only`` the distance
+        must stay zero: a search that would move a dual changes nothing and
+        returns False.
+        """
+        adj, near, far, near_arc, far_arc, blocked, mine, other, label, via = side
+        weight, active = self.weight, self.active
+        dist = 0
+        bound, stop = 1 if tight_only else mine[root], root
+        settled: list[int] = []
+        tight: list[int] = []
+        heap: list[tuple[int, int]] = []
+        u = root
+        end = -1
         while True:
-            used[j0] = True
-            i0 = assigned[j0]
-            delta = INF
-            j1 = 0
-            row = cost[i0 - 1]
-            for j in range(1, n + 1):
-                if not used[j]:
-                    cur = row[j - 1] - u_pot[i0] + v_neg[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u_pot[assigned[j]] += delta
-                    v_neg[j] += delta
+            base = dist + mine[u]
+            if base < bound:
+                bound, stop = base, u
+                if base == dist:
+                    break
+            for a in adj[u]:
+                if active[a]:
+                    v = far[a]
+                    c = base + other[v] - weight[a]
+                    if c < label[v] and c < bound and not blocked[v]:
+                        label[v] = c
+                        via[v] = a
+                        if c == dist:
+                            tight.append(v)
+                        else:
+                            heappush(heap, (c, v))
+            if tight:
+                v = tight.pop()
+            else:
+                while heap and heap[0][0] < bound:
+                    c, v = heappop(heap)
+                    if label[v] == c:
+                        dist = c
+                        break
                 else:
-                    minv[j] -= delta
-            j0 = j1
-            if assigned[j0] == 0:
+                    break
+            # A settled copy keeps its distance as its label: no later
+            # candidate can undercut it.
+            settled.append(v)
+            if far_arc[v] < 0:
+                end = v
                 break
-        while j0:
-            j1 = way[j0]
-            assigned[j0] = assigned[j1]
-            j0 = j1
-    total = 0
-    for j in range(1, n + 1):
-        i = assigned[j]
-        if i:
-            total += cost[i - 1][j - 1]
-    return n * top - total
-
-
-def _uniform_weight(items: list[_WeightedArc]) -> int | None:
-    """The weight shared by every positive arc; None if none is positive or they differ."""
-    w0 = None
-    for _, _, w in items:
-        if w > 0:
-            if w0 is None:
-                w0 = w
-            elif w != w0:
-                return None
-    return w0
-
-
-def _best_value(n: int, items: list[_WeightedArc]) -> int:
-    """Best matching value over the given weighted arcs.
-
-    Nonpositive arcs never raise the value of a matching that may leave
-    nodes unmatched, so only positive arcs are considered. When all
-    positive weights coincide the answer is that weight times the maximum
-    cardinality, found by the much cheaper layered augmenting search.
-    """
-    w0 = _uniform_weight(items)
-    if w0 is not None:
-        return w0 * _positive_kernel(n, items)[0].repair()
-    return _assignment_max([(u, v, w) for u, v, w in items if w > 0])
+            u = near[far_arc[v]]
+        if end < 0 and not tight_only:
+            dist = bound
+        # Shift the duals by how long each tree copy was in the tree; a
+        # matched far copy's partner joined at the far copy's distance.
+        _set = self._set
+        _set(mine, root, mine[root] - dist)
+        for x in settled:
+            d = label[x]
+            label[x] = _INF
+            if d < dist:
+                w = near[far_arc[x]]
+                _set(other, x, other[x] + dist - d)
+                _set(mine, w, mine[w] - dist + d)
+        for x in tight:
+            label[x] = _INF
+        for _, x in heap:
+            label[x] = _INF
+        if end >= 0:
+            v = end
+        elif bound > dist:
+            return False
+        elif stop == root:
+            return True
+        else:
+            b = near_arc[stop]
+            _set(near_arc, stop, -1)
+            self.value -= weight[b]
+            v = far[b]
+        while True:
+            a = via[v]
+            u = near[a]
+            b = near_arc[u]
+            _set(near_arc, u, a)
+            _set(far_arc, v, a)
+            self.value += weight[a]
+            if b < 0:
+                return True
+            self.value -= weight[b]
+            v = far[b]
 
 
 def _positive_kernel(n: int, items: list[_WeightedArc]) -> tuple[_Kernel, list[int]]:
-    """A kernel over the positive arcs of ``items``, and each item's arc id (-1 if none)."""
+    """A kernel over the positive arcs of ``items``, and each item's arc id (-1 if none).
+
+    Nonpositive arcs never raise the value of a matching that may leave
+    nodes unmatched, so only positive arcs are considered.
+    """
     ids: list[int] = []
     arcs: list[Arc] = []
+    weights: list[int] = []
     for u, v, w in items:
         ids.append(len(arcs) if w > 0 else -1)
         if w > 0:
             arcs.append((u, v))
-    return _Kernel(n, arcs), ids
-
-
-def _lex_min_uniform(
-    n: int, items: list[_WeightedArc], w0: int
-) -> tuple[tuple[Arc, ...], int]:
-    """:func:`_lex_min_optimal` from one solve, when every positive weight is ``w0``.
-
-    The kernel holds the positive arcs from the current position on that
-    avoid the committed tails and heads, at a maximum matching. Trying arc
-    j switches it off and blocks its tail and head; the arc commits when
-    its weight plus ``w0`` times the repaired size still reaches the
-    optimum. Otherwise the trial is rolled back and only the arc is
-    switched off.
-    """
-    kernel, ids = _positive_kernel(n, items)
-    best = w0 * kernel.repair()
-    chosen: list[Arc] = []
-    total = 0
-    for (u, v, w), a in zip(items, ids):
-        if total == best:
-            break
-        if kernel.blocked_tail[u] or kernel.blocked_head[v]:
-            continue
-        size = kernel.size
-        kernel.begin()
-        matched = a >= 0 and kernel.deactivate(a)
-        kernel.block(u, v)
-        # Without a matched arc and its two ends, the rest of a maximum
-        # matching is still maximum. Otherwise the maximum cannot exceed
-        # size - 1 when arc j is positive: arc j would extend it.
-        if not matched:
-            kernel.repair(size - 1 if a >= 0 else size)
-        if total + w + w0 * kernel.size == best:
-            chosen.append((u, v))
-            total += w
-            kernel.commit()
-        else:
-            kernel.rollback()
-            if a >= 0 and kernel.deactivate(a):
-                kernel.repair(size)
-    if total != best:
-        raise ContractError("internal error: optimal prefix not extendable")
-    return tuple(chosen), total
+            weights.append(w)
+    return _Kernel(n, arcs, weights), ids
 
 
 def _lex_min_optimal(
@@ -417,33 +338,38 @@ def _lex_min_optimal(
     pass left to right: an arc is committed when it still extends the
     committed arcs to an optimal matching, a rejected arc is never tried
     again, and the pass stops as soon as the committed arcs alone reach
-    the optimum (a strict prefix beats every extension). Uniform positive
-    weights take the one-solve route of :func:`_lex_min_uniform`; other
-    weights re-solve the later arcs for every candidate.
+    the optimum (a strict prefix beats every extension). One kernel holds
+    the positive arcs from the current position on that avoid the
+    committed tails and heads, at a maximum-weight matching with an
+    optimal dual. By complementary slackness an arc of positive reduced
+    cost lies in no optimal matching, and a copy with a positive dual is
+    matched in every one, so only a tight arc is tried: it is switched off
+    with its tail and head blocked, and it commits when the rest repairs
+    without moving a dual. Otherwise only the arc is switched off.
     """
-    w0 = _uniform_weight(items)
-    if w0 is not None:
-        return _lex_min_uniform(n, items, w0)
-    best = _best_value(n, items)
+    kernel, ids = _positive_kernel(n, items)
+    kernel.repair()
+    best = kernel.value
     chosen: list[Arc] = []
     total = 0
-    used_tails: set[int] = set()
-    used_heads: set[int] = set()
-    for j, (u, v, w) in enumerate(items):
+    for (u, v, w), a in zip(items, ids):
         if total == best:
             break
-        if u in used_tails or v in used_heads:
+        if kernel.blocked_tail[u] or kernel.blocked_head[v]:
             continue
-        free = [
-            (a, b, wt)
-            for a, b, wt in items[j + 1 :]
-            if a != u and b != v and a not in used_tails and b not in used_heads
-        ]
-        if total + w + _best_value(n, free) == best:
-            chosen.append((u, v))
-            total += w
-            used_tails.add(u)
-            used_heads.add(v)
+        if kernel.y[u] + kernel.z[v] == w:
+            kernel.begin()
+            if a >= 0:
+                kernel.deactivate(a)
+            kernel.block(u, v)
+            if kernel.repair(tight_only=True):
+                chosen.append((u, v))
+                total += w
+                kernel.commit()
+                continue
+            kernel.rollback()
+        if a >= 0:
+            kernel.deactivate(a)
     if total != best:
         raise ContractError("internal error: optimal prefix not extendable")
     return tuple(chosen), total
@@ -478,7 +404,9 @@ def driver_count(d: Digraph | Orientation) -> int:
     degenerate since there is nothing to drive.
     """
     n, arcs = _digraph_view(d)
-    return max(1, n - _Kernel(n, arcs).repair())
+    kernel = _Kernel(n, arcs, [1] * len(arcs))
+    kernel.repair()
+    return max(1, n - kernel.value)
 
 
 @dataclass(frozen=True)

@@ -195,6 +195,18 @@ class TestGrayScan:
                 g = random_graph(rng, n, rng.randint(0, min(9, n * (n - 1) // 2)))
                 self._check(uniform_instance(g, weight))
 
+    def test_weighted_instances(self):
+        rng = random.Random(34)
+        for choices in (range(11), range(-3, 10), (0.1, 0.2, 0.3)):
+            for _ in range(12):
+                n = rng.randint(1, 7)
+                g = random_graph(rng, n, rng.randint(0, min(9, n * (n - 1) // 2)))
+                weights = {}
+                for u, v in g.edges:
+                    weights[(u, v)] = float(rng.choice(choices))
+                    weights[(v, u)] = float(rng.choice(choices))
+                self._check(AocmInstance(g, weights))
+
 
 class TestGreedy:
     def test_never_beats_exact(self):

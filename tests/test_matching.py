@@ -23,7 +23,6 @@ from ocmatch.matching import (
     AocmSolution,
     ControlMatching,
     _Kernel,
-    bipartite_representation,
     driver_count,
     max_control_matching,
     max_weight_control_matching,
@@ -48,23 +47,6 @@ class TestControlMatching:
     def test_shared_head_rejected(self):
         with pytest.raises(ContractError):
             ControlMatching(((0, 2), (1, 2)), 2.0)
-
-
-def test_bipartite_representation_mirrors_arcs():
-    d = Digraph(3, ((0, 1), (1, 0), (1, 2)))
-    rep = bipartite_representation(d)
-    assert rep.node_count == 3
-    assert [(e.left, e.right, e.weight, e.arc) for e in rep.edges] == [
-        (0, 1, 1.0, (0, 1)),
-        (1, 0, 1.0, (1, 0)),
-        (1, 2, 1.0, (1, 2)),
-    ]
-
-
-def test_bipartite_representation_carries_orientation_weights():
-    inst = AocmInstance(path_graph(2), {(0, 1): 4.0, (1, 0): 7.0})
-    rep = bipartite_representation(orientation_from_mask(inst, 1))
-    assert [(e.arc, e.weight) for e in rep.edges] == [((1, 0), 7.0)]
 
 
 class TestMaxControlMatching:
@@ -231,18 +213,82 @@ class TestCanonicalKernel:
         for _ in range(200):
             n = rng.randint(2, 8)
             d = random_digraph(rng, n, 12)
-            kernel = _Kernel(n, d.arcs)
-            size = kernel.repair()
-            before = (list(kernel.tail_arc), list(kernel.head_arc), list(kernel.active))
+            kernel = _Kernel(n, d.arcs, [rng.randint(1, 5) for _ in d.arcs])
+            kernel.repair()
+            before = _kernel_state(kernel)
             kernel.begin()
             if d.arcs:
                 kernel.deactivate(rng.randrange(len(d.arcs)))
             kernel.block(rng.randrange(n), rng.randrange(n))
             kernel.repair()
             kernel.rollback()
-            assert kernel.size == size
-            assert (kernel.tail_arc, kernel.head_arc, kernel.active) == tuple(before)
+            assert _kernel_state(kernel) == before
             assert not any(kernel.blocked_tail) and not any(kernel.blocked_head)
+
+    def test_random_edits_keep_an_optimal_dual(self):
+        rng = random.Random(27)
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            d = random_digraph(rng, n, 10)
+            weights = [rng.randint(1, 6) for _ in d.arcs]
+            kernel = _Kernel(n, d.arcs, weights)
+            kernel.repair()
+            for _ in range(12):
+                op = rng.randrange(4)
+                if op == 0 and d.arcs:
+                    kernel.activate(rng.randrange(len(d.arcs)))
+                elif op == 1 and d.arcs:
+                    kernel.deactivate(rng.randrange(len(d.arcs)))
+                elif op == 2:
+                    kernel.block(rng.randrange(n), rng.randrange(n))
+                else:
+                    before = _kernel_state(kernel)
+                    kernel.begin()
+                    kernel.block(rng.randrange(n), rng.randrange(n))
+                    if d.arcs:
+                        kernel.activate(rng.randrange(len(d.arcs)))
+                    kernel.repair()
+                    if rng.random() < 0.5:
+                        kernel.rollback()
+                        assert _kernel_state(kernel) == before
+                    else:
+                        kernel.commit()
+                kernel.repair()
+                _check_kernel_optimum(kernel, n, weights)
+
+
+def _kernel_state(kernel):
+    return (
+        list(kernel.tail_arc),
+        list(kernel.head_arc),
+        list(kernel.active),
+        list(kernel.y),
+        list(kernel.z),
+        kernel.value,
+    )
+
+
+def _check_kernel_optimum(kernel, n, weights):
+    """The matching has the oracle's value over the usable arcs, with an optimal dual."""
+    usable = []
+    for a, (u, v) in enumerate(zip(kernel.tails, kernel.heads)):
+        if kernel.active[a] and not kernel.blocked_tail[u] and not kernel.blocked_head[v]:
+            usable.append(a)
+            assert kernel.y[u] + kernel.z[v] >= weights[a]
+    matched = [a for a in range(len(weights)) if kernel.tail_arc[kernel.tails[a]] == a]
+    assert kernel.value == sum(weights[a] for a in matched)
+    for a in matched:
+        assert a in usable and kernel.head_arc[kernel.heads[a]] == a
+        assert kernel.y[kernel.tails[a]] + kernel.z[kernel.heads[a]] == weights[a]
+    for u in range(n):
+        assert min(kernel.y[u], kernel.z[u]) >= 0
+        if kernel.tail_arc[u] < 0 and not kernel.blocked_tail[u]:
+            assert kernel.y[u] == 0
+        if kernel.head_arc[u] < 0 and not kernel.blocked_head[u]:
+            assert kernel.z[u] == 0
+    arcs = {(kernel.tails[a], kernel.heads[a]): weights[a] for a in usable}
+    want = brute_control_matching(Digraph(n, tuple(sorted(arcs))), weights=arcs)
+    assert kernel.value == want.value
 
 
 class TestAocmSolution:
