@@ -6,8 +6,9 @@ Three routes with different cost and guarantee profiles:
   takes the best matching value, usable up to 24 edges; each step flips
   one edge and repairs one maximum-weight matching instead of solving
   the orientation afresh;
-* exact solves a maximum-weight independent set on the conflict graph by
-  branch and bound, seeded with the greedy solution;
+* exact searches the conflict graph for a maximum-weight independent
+  set, seeded with the greedy solution, and bounds each subtree by a
+  tail/head assignment with 2-cycle branching on one warm kernel;
 * greedy accepts ordered directions by descending weight while their
   edge, head slot, and tail slot are all still free.
 
@@ -19,6 +20,8 @@ return, and greedy reports exactly the arcs it accepted.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from .errors import InputError, ResourceLimitError
 from .graphs import (
@@ -122,6 +125,54 @@ def solve_aocm_brute(
     return AocmSolution(orientation, matching, matching.value)
 
 
+def _assignment_bound(inst: AocmInstance) -> tuple[Callable[..., int], int]:
+    """The exact search's bound, and the assignment maximum at its root.
+
+    Without the one-direction-per-edge rule the remaining positive arcs
+    form a tail/head assignment, which one warm kernel keeps at a maximum.
+    A maximum that beats ``need`` with both arcs of an edge (a 2-cycle)
+    branches: forbid one arc, then the other (Carpaneto & Toth 1980). It
+    stops once dropping the lighter arc of each 2-cycle beats ``need``.
+    The bound is at most ``need`` exactly when nothing beats it.
+    """
+    units = inst.units
+    kernel, ids = _positive_kernel(
+        inst.graph.node_count, [(u, v, units[(u, v)]) for u, v in inst.ordered_arcs()]
+    )
+    kernel.repair()
+    tail_arc, tails, weight = kernel.tail_arc, kernel.tails, kernel.weight
+    pairs = [(a, b) for a, b in zip(ids[::2], ids[1::2]) if a >= 0 and b >= 0]
+    active = sum(1 << i for i, a in enumerate(ids) if a >= 0)
+
+    def beat(need: int, charge: Callable[[], None]) -> int:
+        charge()
+        kernel.repair()
+        value = kernel.value
+        if value <= need:
+            return value
+        cycles = [(a, b) for a, b in pairs if tail_arc[tails[a]] == a and tail_arc[tails[b]] == b]
+        if value - sum(min(weight[a], weight[b]) for a, b in cycles) > need:
+            return value
+        for arc in cycles[0]:
+            kernel.deactivate(arc)
+            beaten = beat(need, charge) > need
+            kernel.activate(arc)
+            if beaten:
+                return value
+        return need
+
+    def bound(remaining: int, need: int, charge: Callable[[], None]) -> int:
+        nonlocal active
+        diff, active = active ^ remaining, remaining
+        while diff:
+            low = diff & -diff
+            diff ^= low
+            (kernel.activate if remaining & low else kernel.deactivate)(ids[low.bit_length() - 1])
+        return beat(need, charge)
+
+    return bound, kernel.value
+
+
 def solve_aocm_exact(
     inst: AocmInstance, *, node_budget: int = 2_000_000
 ) -> AocmSolution:
@@ -135,18 +186,19 @@ def solve_aocm_exact(
     cg = aocm_to_wis(inst)
     units = inst.units
     index_of = {arc: i for i, arc in enumerate(cg.arcs)}
-    seed_mask = 0
-    for arc in solve_aocm_greedy(inst).matching.arcs:
-        seed_mask |= 1 << index_of[arc]
+    seed_mask = sum(1 << index_of[arc] for arc in solve_aocm_greedy(inst).matching.arcs)
+    bound, upper = _assignment_bound(inst)
     try:
         best_mask, best_w = max_weight_independent_set(
             [units[a] for a in cg.arcs],
             cg.neighbor_masks(),
             seed_mask=seed_mask,
             node_budget=node_budget,
+            bound=bound,
         )
     except ResourceLimitError as exc:
-        raise ResourceLimitError(str(exc), inst.value_of(exc.best_bound)) from exc
+        best = None if exc.best_bound is None else inst.value_of(exc.best_bound)
+        raise ResourceLimitError(str(exc), best, inst.value_of(upper)) from exc
     chosen = [i for i in range(len(cg.arcs)) if (best_mask >> i) & 1]
     sol = wis_to_aocm_solution(cg, chosen)
     matching = max_weight_control_matching(inst, sol.orientation)

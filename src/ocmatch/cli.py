@@ -298,7 +298,10 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         message = f"resource cap: {exc}"
         if exc.best_bound is not None:
-            message += f" (best bound so far {format_weight(exc.best_bound)})"
+            message += f" (best bound so far {format_weight(exc.best_bound)}"
+            if exc.upper_bound is not None:
+                message += f", upper bound {format_weight(exc.upper_bound)}"
+            message += ")"
         print(message, file=sys.stderr)
         return 3
     except (ContractError, AssertionError):

@@ -26,9 +26,13 @@ class ResourceLimitError(OcmatchError, RuntimeError):
     """A hard size cap or search budget was exceeded.
 
     When a search had already found feasible solutions, ``best_bound``
-    carries the best value known at the point the budget ran out.
+    carries the best value known at the point the budget ran out, and
+    ``upper_bound``, when known, a value no solution can exceed.
     """
 
-    def __init__(self, message: str, best_bound: float | None = None):
+    def __init__(
+        self, message: str, best_bound: float | None = None, upper_bound: float | None = None
+    ):
         super().__init__(message)
         self.best_bound = best_bound
+        self.upper_bound = upper_bound

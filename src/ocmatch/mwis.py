@@ -1,11 +1,14 @@
 """Exact maximum-weight independent set over bitmask adjacency.
 
 Branch and bound: branch on the maximum-degree vertex of the remaining
-subgraph (include it and drop its closed neighborhood, or drop it), prune
-with a greedy clique-cover bound, and start from a caller-supplied
-incumbent. An independent set takes at most one vertex from each clique
-of a cover, so the sum of per-clique weight maxima bounds what the
-remaining vertices can still add.
+subgraph (include it and drop its closed neighborhood, or drop it), and
+start from a caller-supplied incumbent, replaced only on a strict gain.
+A subtree is pruned when a bound on what it can add does not beat the
+incumbent; by default a greedy clique cover, whose per-clique weight
+maxima sum to a bound since an independent set takes at most one vertex
+per clique. Every valid bound returns the same set: the seed if it is
+optimal, else the first optimal node of the unpruned tree in preorder,
+as no pruned subtree holds a set heavier than the incumbent.
 
 Vertices of nonpositive weight can never raise the total and are removed
 from the search space up front.
@@ -13,7 +16,7 @@ from the search space up front.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import ContractError, ResourceLimitError
 
@@ -26,13 +29,11 @@ def _clique_cover_bound(remaining: int, weights: Sequence[float], adj: Sequence[
         v = low.bit_length() - 1
         m ^= low
         wv = weights[v]
-        placed = False
         for idx, (members, wmax) in enumerate(cliques):
             if members & ~adj[v] == 0:
                 cliques[idx] = (members | low, wv if wv > wmax else wmax)
-                placed = True
                 break
-        if not placed:
+        else:
             cliques.append((low, wv))
     return sum(wmax for _, wmax in cliques)
 
@@ -43,50 +44,49 @@ def max_weight_independent_set(
     *,
     seed_mask: int = 0,
     node_budget: int = 2_000_000,
+    bound: Callable[[int, float, Callable[[], None]], float] | None = None,
 ) -> tuple[int, float]:
     """Return (best set as a bitmask, its weight).
 
     ``seed_mask`` must be an independent set; it becomes the incumbent so
-    the search only has to beat it. Exceeding ``node_budget`` explored
-    search nodes raises ResourceLimitError carrying the best weight known.
+    the search only has to beat it. ``bound(remaining, need, charge)``
+    bounds what ``remaining`` can add, tightly enough to tell whether that
+    exceeds ``need``, and calls ``charge()`` per unit of its own work.
+    Past ``node_budget`` charges, search nodes included, it raises
+    ResourceLimitError carrying the best weight known.
     """
     n = len(weights)
     if len(neighbor_masks) != n:
         raise ContractError("weights and neighbor_masks must have equal length")
-    seed_w = 0
-    m = seed_mask
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        if neighbor_masks[v] & seed_mask:
-            raise ContractError("seed set is not independent")
-        seed_w += weights[v]
+    seed = [v for v in range(n) if seed_mask >> v & 1]
+    if any(neighbor_masks[v] & seed_mask for v in seed):
+        raise ContractError("seed set is not independent")
     best_mask = seed_mask
-    best_w = seed_w
-    candidates = 0
-    for v in range(n):
-        if weights[v] > 0.0:
-            candidates |= 1 << v
+    best_w = sum(weights[v] for v in seed)
+    candidates = sum(1 << v for v in range(n) if weights[v] > 0.0)
+    if bound is None:
+        def bound(remaining: int, need: float, charge: Callable[[], None]) -> float:
+            return _clique_cover_bound(remaining, weights, neighbor_masks)
     explored = 0
 
-    def branch(remaining: int, cur_mask: int, cur_w: float) -> None:
-        nonlocal best_mask, best_w, explored
+    def charge() -> None:
+        nonlocal explored
         explored += 1
         if explored > node_budget:
-            raise ResourceLimitError(
-                f"independent-set search exceeded {node_budget} nodes",
-                best_bound=best_w,
-            )
+            message = f"independent-set search exceeded {node_budget} nodes and bound solves"
+            raise ResourceLimitError(message, best_bound=best_w)
+
+    def branch(remaining: int, cur_mask: int, cur_w: float) -> None:
+        nonlocal best_mask, best_w
+        charge()
         if cur_w > best_w:
             best_w = cur_w
             best_mask = cur_mask
         if not remaining:
             return
-        if cur_w + _clique_cover_bound(remaining, weights, neighbor_masks) <= best_w:
+        if cur_w + bound(remaining, best_w - cur_w, charge) <= best_w:
             return
-        pick = -1
-        pick_deg = -1
+        pick = pick_deg = -1
         m = remaining
         while m:
             low = m & -m

@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from ocmatch.aocm import solve_aocm_brute, solve_aocm_exact, solve_aocm_greedy
+from ocmatch.aocm import (
+    _assignment_bound,
+    solve_aocm_brute,
+    solve_aocm_exact,
+    solve_aocm_greedy,
+)
 from ocmatch.errors import InputError, ResourceLimitError
 from ocmatch.graphs import (
     AocmInstance,
@@ -20,8 +25,9 @@ from ocmatch.generators import (
     random_weighted_instance,
 )
 from ocmatch.matching import max_weight_control_matching
+from ocmatch.mwis import max_weight_independent_set
 from ocmatch.oracles import brute_control_matching
-from ocmatch.reductions import build_gadget_f, dcc3_to_aocm
+from ocmatch.reductions import aocm_to_wis, build_gadget_f, dcc3_to_aocm
 
 TOL = 1e-9
 
@@ -269,6 +275,51 @@ class TestResourceCaps:
             solve_aocm_exact(inst, node_budget=1)
         assert isinstance(info.value.best_bound, float)
         assert info.value.best_bound == solve_aocm_greedy(inst).value
+
+
+def _sparse_instance(seed, n):
+    """A connected graph with m = 2n and independent weights 0..10 per direction."""
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, n, 2 * n)
+    weights = {}
+    for u, v in g.edges:
+        weights[(u, v)] = float(rng.randint(0, 10))
+        weights[(v, u)] = float(rng.randint(0, 10))
+    return AocmInstance(g, weights)
+
+
+class TestSearchBound:
+    def test_any_valid_bound_returns_the_same_set(self):
+        rng = random.Random(12)
+        choices = [list(range(4)), list(range(-3, 6)), [0.1, 0.2, 0.25, 0.3]]
+        for i in range(300):
+            n = rng.randint(2, 8)
+            g = random_graph(rng, n, rng.randint(1, min(n * (n - 1) // 2, 2 * n)))
+            values = choices[i % 3]
+            inst = AocmInstance(
+                g,
+                {arc: float(rng.choice(values)) for u, v in g.edges for arc in ((u, v), (v, u))},
+            )
+            cg = aocm_to_wis(inst)
+            weights = [inst.units[a] for a in cg.arcs]
+            masks = cg.neighbor_masks()
+            bound, _ = _assignment_bound(inst)
+            assert max_weight_independent_set(
+                weights, masks, bound=bound
+            ) == max_weight_independent_set(weights, masks)
+
+    def test_forty_nodes_solve_within_budget(self):
+        inst = _sparse_instance(0, 40)
+        sol = solve_aocm_exact(inst, node_budget=100_000)
+        assert sol.value >= solve_aocm_greedy(inst).value
+
+    def test_large_instance_caps_with_both_bounds(self):
+        inst = _sparse_instance(1, 300)
+        with pytest.raises(ResourceLimitError) as info:
+            solve_aocm_exact(inst, node_budget=20_000)
+        exc = info.value
+        assert isinstance(exc.best_bound, float) and isinstance(exc.upper_bound, float)
+        assert solve_aocm_greedy(inst).value <= exc.best_bound <= exc.upper_bound
 
 
 class TestDegenerateInstances:

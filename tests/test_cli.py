@@ -1,8 +1,10 @@
+import functools
 import random
 
 import pytest
 
 import ocmatch.cli
+from ocmatch.aocm import solve_aocm_exact
 from ocmatch.cli import main
 from ocmatch.fileio import (
     load_instance,
@@ -140,6 +142,24 @@ class TestSolveAocm:
         assert code == 3
         assert out == ""
         assert err.startswith("resource cap:")
+
+    def test_exact_cap_reports_incumbent_and_upper_bound(self, tmp_path, capsys, monkeypatch):
+        g = complete_graph(4)
+        rng = random.Random(2)
+        weights = {}
+        for u, v in g.edges:
+            weights[(u, v)] = float(rng.randint(0, 5))
+            weights[(v, u)] = float(rng.randint(0, 5))
+        f = write(tmp_path, "k4.txt", write_aocm(AocmInstance(g, weights)))
+        code, out, _ = run(capsys, "solve-aocm", f, "--mode", "exact")
+        assert code == 0 and "value: 12\n" in out
+        capped = functools.partial(solve_aocm_exact, node_budget=1)
+        monkeypatch.setattr(ocmatch.cli, "solve_aocm_exact", capped)
+        code, out, err = run(capsys, "solve-aocm", f, "--mode", "exact")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("resource cap:")
+        assert "(best bound so far 11, upper bound 13)" in err
 
 
 class TestReduce:
