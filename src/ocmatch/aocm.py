@@ -197,8 +197,9 @@ def solve_aocm_exact(
             bound=bound,
         )
     except ResourceLimitError as exc:
-        best = None if exc.best_bound is None else inst.value_of(exc.best_bound)
-        raise ResourceLimitError(str(exc), best, inst.value_of(upper)) from exc
+        raise ResourceLimitError(
+            str(exc), inst.value_of(exc.best_bound), inst.value_of(upper)
+        ) from exc
     chosen = [i for i in range(len(cg.arcs)) if (best_mask >> i) & 1]
     sol = wis_to_aocm_solution(cg, chosen)
     matching = max_weight_control_matching(inst, sol.orientation)

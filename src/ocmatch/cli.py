@@ -143,10 +143,14 @@ def cmd_reduce(args: argparse.Namespace) -> tuple[RunReport, bool]:
 def cmd_verify(args: argparse.Namespace) -> tuple[RunReport, bool]:
     kwargs: dict[str, int] = {"seed": args.seed}
     if args.samples is not None:
+        if args.samples < 0:
+            raise InputError(f"--samples must be nonnegative, got {args.samples}")
         kwargs["samples"] = args.samples
     if args.max_n is not None:
         if args.suite not in ("lemma1", "lemma2"):
             raise InputError("--max-n applies to the lemma1 and lemma2 suites")
+        if args.max_n < 1:
+            raise InputError(f"--max-n must be at least 1, got {args.max_n}")
         kwargs["max_n"] = args.max_n
     result = _SUITES[args.suite](**kwargs)
     rep = RunReport("verify")

@@ -48,13 +48,14 @@ class UndirectedGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        if self.node_count < 0:
-            raise InputError(f"node_count must be nonnegative, got {self.node_count}")
+        if not isinstance(self.node_count, int) or self.node_count < 0:
+            raise InputError(f"node_count must be a nonnegative int, got {self.node_count!r}")
+        for u, v in self.edges:
+            _check_endpoint(u, self.node_count, "edge")
+            _check_endpoint(v, self.node_count, "edge")
         canon = sorted(canonical_edge(u, v) for u, v in self.edges)
         seen: set[Edge] = set()
         for u, v in canon:
-            _check_endpoint(u, self.node_count, "edge")
-            _check_endpoint(v, self.node_count, "edge")
             if u == v:
                 raise InputError(f"self-loop at node {u} is not allowed")
             if (u, v) in seen:
@@ -123,13 +124,14 @@ class Digraph:
     arcs: tuple[Arc, ...]
 
     def __post_init__(self) -> None:
-        if self.node_count < 0:
-            raise InputError(f"node_count must be nonnegative, got {self.node_count}")
+        if not isinstance(self.node_count, int) or self.node_count < 0:
+            raise InputError(f"node_count must be a nonnegative int, got {self.node_count!r}")
+        for u, v in self.arcs:
+            _check_endpoint(u, self.node_count, "arc")
+            _check_endpoint(v, self.node_count, "arc")
         canon = sorted(tuple(a) for a in self.arcs)
         seen: set[Arc] = set()
         for u, v in canon:
-            _check_endpoint(u, self.node_count, "arc")
-            _check_endpoint(v, self.node_count, "arc")
             if u == v:
                 raise InputError(f"self-loop at node {u} is not allowed")
             if (u, v) in seen:

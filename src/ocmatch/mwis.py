@@ -3,12 +3,10 @@
 Branch and bound: branch on the maximum-degree vertex of the remaining
 subgraph (include it and drop its closed neighborhood, or drop it), and
 start from a caller-supplied incumbent, replaced only on a strict gain.
-A subtree is pruned when a bound on what it can add does not beat the
-incumbent; by default a greedy clique cover, whose per-clique weight
-maxima sum to a bound since an independent set takes at most one vertex
-per clique. Every valid bound returns the same set: the seed if it is
-optimal, else the first optimal node of the unpruned tree in preorder,
-as no pruned subtree holds a set heavier than the incumbent.
+A subtree is pruned when the caller's bound on what it can add does not
+beat the incumbent. Every valid bound returns the same set: the seed if
+it is optimal, else the first optimal node of the unpruned tree in
+preorder, as no pruned subtree holds a set heavier than the incumbent.
 
 Vertices of nonpositive weight can never raise the total and are removed
 from the search space up front.
@@ -21,38 +19,22 @@ from typing import Callable, Sequence
 from .errors import ContractError, ResourceLimitError
 
 
-def _clique_cover_bound(remaining: int, weights: Sequence[float], adj: Sequence[int]) -> float:
-    cliques: list[tuple[int, float]] = []
-    m = remaining
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        wv = weights[v]
-        for idx, (members, wmax) in enumerate(cliques):
-            if members & ~adj[v] == 0:
-                cliques[idx] = (members | low, wv if wv > wmax else wmax)
-                break
-        else:
-            cliques.append((low, wv))
-    return sum(wmax for _, wmax in cliques)
-
-
 def max_weight_independent_set(
-    weights: Sequence[float],
+    weights: Sequence[int],
     neighbor_masks: Sequence[int],
     *,
+    bound: Callable[[int, int, Callable[[], None]], int],
     seed_mask: int = 0,
     node_budget: int = 2_000_000,
-    bound: Callable[[int, float, Callable[[], None]], float] | None = None,
-) -> tuple[int, float]:
+) -> tuple[int, int]:
     """Return (best set as a bitmask, its weight).
 
-    ``seed_mask`` must be an independent set; it becomes the incumbent so
-    the search only has to beat it. ``bound(remaining, need, charge)``
-    bounds what ``remaining`` can add, tightly enough to tell whether that
-    exceeds ``need``, and calls ``charge()`` per unit of its own work.
-    Past ``node_budget`` charges, search nodes included, it raises
+    ``bound(remaining, need, charge)`` bounds what the positive-weight
+    vertices of ``remaining`` can add, tightly enough to tell whether that
+    exceeds ``need``, and calls ``charge()`` per unit of its own work; the
+    search has no bound of its own. ``seed_mask`` must be an independent
+    set; it becomes the incumbent so the search only has to beat it. Past
+    ``node_budget`` charges, search nodes included, it raises
     ResourceLimitError carrying the best weight known.
     """
     n = len(weights)
@@ -63,10 +45,7 @@ def max_weight_independent_set(
         raise ContractError("seed set is not independent")
     best_mask = seed_mask
     best_w = sum(weights[v] for v in seed)
-    candidates = sum(1 << v for v in range(n) if weights[v] > 0.0)
-    if bound is None:
-        def bound(remaining: int, need: float, charge: Callable[[], None]) -> float:
-            return _clique_cover_bound(remaining, weights, neighbor_masks)
+    candidates = sum(1 << v for v in range(n) if weights[v] > 0)
     explored = 0
 
     def charge() -> None:
@@ -76,7 +55,7 @@ def max_weight_independent_set(
             message = f"independent-set search exceeded {node_budget} nodes and bound solves"
             raise ResourceLimitError(message, best_bound=best_w)
 
-    def branch(remaining: int, cur_mask: int, cur_w: float) -> None:
+    def branch(remaining: int, cur_mask: int, cur_w: int) -> None:
         nonlocal best_mask, best_w
         charge()
         if cur_w > best_w:

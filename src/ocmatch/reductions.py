@@ -535,7 +535,8 @@ def check_lreduction(g: UndirectedGraph, y: Orientation) -> LReductionReport:
     for u in range(g.node_count):
         for v in adj[u]:
             masks[u] |= 1 << v
-    _, opt_is_w = max_weight_independent_set([1.0] * g.node_count, masks)
-    opt_is = round(opt_is_w)
+    _, opt_is = max_weight_independent_set(
+        [1] * g.node_count, masks, bound=lambda remaining, need, charge: remaining.bit_count()
+    )
     opt_aocm = solve_aocm_exact(gi.host).value
     return lreduction_report(gi, y, opt_is, opt_aocm)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .aocm import solve_aocm_brute, solve_aocm_exact
+from .aocm import _assignment_bound, solve_aocm_brute, solve_aocm_exact
 from .errors import ContractError
 from .generators import random_digraph, random_weighted_instance
 from .graphs import (
@@ -96,9 +96,10 @@ def verify_lemma1(
     """Independent-set weight on the conflict graph equals the orientation optimum.
 
     Random instances with integer weights 0..10 are solved three ways:
-    branch-and-bound on the conflict graph, exhaustive search on the
-    conflict graph, and brute force over orientations. The chosen set is
-    also mapped back and must reproduce the weight.
+    branch-and-bound on the conflict graph under the exact route's
+    assignment bound, exhaustive search on the conflict graph, and brute
+    force over orientations. The chosen set is also mapped back and must
+    reproduce the weight.
     """
     rng = random.Random(seed)
     bad: list[str] = []
@@ -107,7 +108,10 @@ def verify_lemma1(
         m = rng.randint(0, min(max_edges, n * (n - 1) // 2))
         inst = random_weighted_instance(rng, n, m, low=0.0, high=10.0)
         cg = aocm_to_wis(inst)
-        mask, weight = max_weight_independent_set(cg.weights, cg.neighbor_masks())
+        mask, units = max_weight_independent_set(
+            [inst.units[a] for a in cg.arcs], cg.neighbor_masks(), bound=_assignment_bound(inst)[0]
+        )
+        weight = inst.value_of(units)
         _, oracle_weight = brute_mwis(cg.weights, cg.conflicts)
         brute = solve_aocm_brute(inst)
         desc = _describe_instance(inst)

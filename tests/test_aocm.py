@@ -304,9 +304,13 @@ class TestSearchBound:
             weights = [inst.units[a] for a in cg.arcs]
             masks = cg.neighbor_masks()
             bound, _ = _assignment_bound(inst)
+
+            def total(remaining, need, charge):
+                return sum(w for v, w in enumerate(weights) if remaining >> v & 1)
+
             assert max_weight_independent_set(
                 weights, masks, bound=bound
-            ) == max_weight_independent_set(weights, masks)
+            ) == max_weight_independent_set(weights, masks, bound=total)
 
     def test_forty_nodes_solve_within_budget(self):
         inst = _sparse_instance(0, 40)

@@ -235,6 +235,19 @@ class TestVerify:
         assert code == 2
         assert "--max-n applies to the lemma1 and lemma2 suites" in err
 
+    def test_size_flags_out_of_range_are_rejected(self, capsys):
+        for args in (
+            ("lemma1", "--max-n", "0"),
+            ("lemma2", "--max-n", "-1"),
+            ("lemma1", "--samples", "-3"),
+            ("lemma3", "--samples", "-1"),
+            ("lreduction", "--samples", "-1"),
+        ):
+            code, out, err = run(capsys, "verify", *args)
+            assert code == 2, (args, err)
+            assert out == ""
+            assert f"{args[1]} must be" in err
+
     def test_lemma3_reports_the_adjudicated_coefficient(self, capsys):
         code, out, _ = run(capsys, "verify", "lemma3", "--samples", "5")
         assert code == 0

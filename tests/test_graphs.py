@@ -52,6 +52,18 @@ class TestUndirectedGraph:
         with pytest.raises(InputError):
             UndirectedGraph(2, ((-1, 0),))
 
+    def test_rejects_non_integer_sizes_and_endpoints(self):
+        for make in (
+            lambda: UndirectedGraph(3, ((0, "1"),)),
+            lambda: UndirectedGraph(3, ((0, None),)),
+            lambda: UndirectedGraph("3", ((0, 1),)),
+            lambda: UndirectedGraph(2.5, ()),
+            lambda: Digraph(3, ((0, "1"), (0, 2))),
+            lambda: Digraph(3.0, ()),
+        ):
+            with pytest.raises(InputError):
+                make()
+
     def test_degrees_and_adjacency(self):
         g = star_graph(3)
         assert g.degrees() == [3, 1, 1, 1]

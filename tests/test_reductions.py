@@ -312,7 +312,14 @@ class TestApproximationPreservation:
             lreduction_report(gi, sol.orientation, 2, 9.0)
 
     def test_full_check_on_both_gadget_sources(self):
-        for g, opt in ((complete_graph(4), 9.0), (complete_bipartite(3, 3), 15.0)):
+        petersen = UndirectedGraph(
+            10,
+            tuple((i, (i + 1) % 5) for i in range(5))
+            + tuple((i, i + 5) for i in range(5))
+            + tuple((5 + i, 5 + (i + 2) % 5) for i in range(5)),
+        )
+        sources = ((complete_graph(4), 9.0), (complete_bipartite(3, 3), 15.0), (petersen, 24.0))
+        for g, opt in sources:
             gi = build_gadget_f(g)
             rep = check_lreduction(g, orientation_from_mask(gi.host, 0))
             assert rep.opt_aocm == opt
