@@ -36,7 +36,6 @@ from .graphs import (
     path_graph,
     star_graph,
     uniform_instance,
-    validate_orientation,
 )
 from .matching import (
     AocmSolution,
@@ -145,7 +144,6 @@ __all__ = [
     "two_matching_components",
     "two_matching_to_orientation",
     "uniform_instance",
-    "validate_orientation",
     "verify_lemma1",
     "verify_lemma2",
     "verify_lemma3",

@@ -27,9 +27,7 @@ from .errors import InputError, ResourceLimitError
 from .graphs import (
     AocmInstance,
     Arc,
-    Edge,
     Orientation,
-    canonical_edge,
     orientation_from_mask,
 )
 from .matching import (
@@ -218,27 +216,27 @@ def solve_aocm_greedy(inst: AocmInstance) -> AocmSolution:
     low to high.
     """
     units = inst.units
-    order = sorted(inst.ordered_arcs(), key=lambda a: (-units[a], a))
+    arcs = inst.ordered_arcs()
+    order = sorted(range(len(arcs)), key=lambda i: (-units[arcs[i]], arcs[i]))
     chosen: list[Arc] = []
     total = 0
-    fixed: dict[Edge, Arc] = {}
+    mask = 0
+    oriented: set[int] = set()
     used_tails: set[int] = set()
     used_heads: set[int] = set()
-    for u, v in order:
+    for i in order:
+        u, v = arcs[i]
         w = units[(u, v)]
         if w <= 0:
             break
-        e = canonical_edge(u, v)
-        if e in fixed or u in used_tails or v in used_heads:
+        if i >> 1 in oriented or u in used_tails or v in used_heads:
             continue
-        fixed[e] = (u, v)
+        oriented.add(i >> 1)
+        mask |= (i & 1) << (i >> 1)
         used_tails.add(u)
         used_heads.add(v)
         chosen.append((u, v))
         total += w
-    direction: dict[Edge, Arc] = {}
-    for e in inst.graph.edges:
-        direction[e] = fixed.get(e, e)
-    orientation = Orientation(inst, direction)
+    orientation = Orientation(inst, mask)
     matching = ControlMatching(tuple(sorted(chosen)), inst.value_of(total))
     return AocmSolution(orientation, matching, matching.value)

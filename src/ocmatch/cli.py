@@ -4,8 +4,8 @@ Verbs: solve-ocm, solve-aocm, reduce, verify, export-dot. Every verb
 prints one RunReport to stdout; wall-clock timing goes to stderr as a
 comment so repeated runs of the same command produce byte-identical
 stdout. Exit codes: 0 success, 1 verification failure, 2 input error,
-3 resource cap, 4 internal error (a broken internal check; the traceback
-goes to stderr).
+3 resource cap (a size or work budget, or out of memory), 4 internal error
+(a broken internal check; the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -307,6 +307,9 @@ def main(argv: list[str] | None = None) -> int:
                 message += f", upper bound {format_weight(exc.upper_bound)}"
             message += ")"
         print(message, file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("resource cap: out of memory", file=sys.stderr)
         return 3
     except (ContractError, AssertionError):
         print(f"internal error:\n{traceback.format_exc()}", end="", file=sys.stderr)

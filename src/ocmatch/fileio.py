@@ -25,8 +25,6 @@ from .graphs import (
     Arc,
     Digraph,
     UndirectedGraph,
-    build_digraph,
-    build_undirected,
     canonical_edge,
 )
 from .reductions import ConflictGraph
@@ -113,12 +111,13 @@ def parse_instance(text: str, source: str = "<string>") -> Instance:
                 raise InputError(f"{source}:{ln}: duplicate weighted edge {canonical_edge(u, v)}")
             weights[(u, v)] = _parse_float(fields[2], ln, source)
             weights[(v, u)] = _parse_float(fields[3], ln, source)
-        pairs.append((u, v))
+        pairs.append((u, v) if directed else canonical_edge(u, v))
+    unique = tuple(dict.fromkeys(pairs))
     if directed:
-        return build_digraph(n, pairs)[0]
+        return Digraph(n, unique)
     if four or weighted:
-        return AocmInstance(UndirectedGraph(n, tuple(pairs)), weights)
-    return build_undirected(n, pairs)[0]
+        return AocmInstance(UndirectedGraph(n, unique), weights)
+    return UndirectedGraph(n, unique)
 
 
 def _check_range(u: int, v: int, n: int, lineno: int, source: str) -> None:

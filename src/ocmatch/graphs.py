@@ -4,7 +4,10 @@ Every type is an immutable value object with a canonical layout. Undirected
 edges are stored as (min, max) pairs sorted lexicographically, arcs as
 ordered pairs sorted lexicographically. Equal inputs therefore produce
 identical objects, which is what makes the solvers and the command line
-reports reproducible byte for byte.
+reports reproducible byte for byte. The constructors reject self-loops,
+duplicates and out-of-range endpoints; callers holding raw input collapse
+its duplicates first. An orientation is one bit per edge, an int mask over
+the canonical edge order.
 
 Weights are 64-bit floats, hence dyadic rationals. Solvers add and compare
 them exactly as integer multiples of one power-of-two unit per instance
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import ContractError, InputError
 
@@ -40,8 +43,7 @@ def _check_endpoint(node: int, node_count: int, what: str) -> None:
 class UndirectedGraph:
     """A simple undirected graph on nodes 0..node_count-1.
 
-    Self-loops and duplicate edges are rejected outright; use
-    :func:`build_undirected` to construct from raw, possibly messy input.
+    Self-loops and duplicate edges (in either endpoint order) are rejected.
     """
 
     node_count: int
@@ -88,30 +90,6 @@ class UndirectedGraph:
         return adj
 
 
-def build_undirected(
-    node_count: int, raw_edges: Iterable[tuple[int, int]]
-) -> tuple[UndirectedGraph, int]:
-    """Canonicalize raw edge input into an UndirectedGraph.
-
-    Duplicate edges (in either endpoint order) are collapsed; the number
-    collapsed is returned alongside the graph so callers can warn about it.
-    Self-loops are rejected with InputError.
-    """
-    seen: set[Edge] = set()
-    duplicates = 0
-    for u, v in raw_edges:
-        _check_endpoint(u, node_count, "edge")
-        _check_endpoint(v, node_count, "edge")
-        if u == v:
-            raise InputError(f"self-loop at node {u} is not allowed")
-        e = canonical_edge(u, v)
-        if e in seen:
-            duplicates += 1
-        else:
-            seen.add(e)
-    return UndirectedGraph(node_count, tuple(sorted(seen))), duplicates
-
-
 @dataclass(frozen=True)
 class Digraph:
     """A directed graph on nodes 0..node_count-1 without self-loops.
@@ -148,27 +126,6 @@ class Digraph:
         for u, v in self.arcs:
             adj[u].append(v)
         return adj
-
-
-def build_digraph(
-    node_count: int, raw_arcs: Iterable[tuple[int, int]]
-) -> tuple[Digraph, int]:
-    """Canonicalize raw arc input into a Digraph, collapsing duplicate arcs.
-
-    Returns the digraph and the number of duplicates collapsed.
-    """
-    seen: set[Arc] = set()
-    duplicates = 0
-    for u, v in raw_arcs:
-        _check_endpoint(u, node_count, "arc")
-        _check_endpoint(v, node_count, "arc")
-        if u == v:
-            raise InputError(f"self-loop at node {u} is not allowed")
-        if (u, v) in seen:
-            duplicates += 1
-        else:
-            seen.add((u, v))
-    return Digraph(node_count, tuple(sorted(seen))), duplicates
 
 
 @dataclass(frozen=True)
@@ -259,71 +216,58 @@ def uniform_instance(g: UndirectedGraph, weight: float = 1.0) -> AocmInstance:
     return AocmInstance(g, w)
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class Orientation:
-    """An assignment of a direction to each edge of an instance's graph.
+    """One direction for each edge of an instance's graph, as an edge mask.
 
-    The mapping may be constructed in an invalid state (missing edges,
-    non-incident pairs); :func:`validate_orientation` reports validity and
-    :meth:`arcs` insists on it.
+    Bit k of ``mask`` is 1 when edge k of ``instance.graph.edges`` points
+    from its higher to its lower endpoint; mask 0 directs every edge low to
+    high. The mask is range-checked on construction, so every orientation
+    is total and legal.
     """
 
     instance: AocmInstance
-    direction: Mapping[Edge, Arc]
+    mask: int
+
+    def __post_init__(self) -> None:
+        m = self.instance.graph.edge_count
+        mask = self.mask
+        if not isinstance(mask, int) or isinstance(mask, bool) or not 0 <= mask < 1 << m:
+            raise ContractError(f"mask {mask!r} out of range for {m} edges")
 
     def arcs(self) -> tuple[Arc, ...]:
-        """Chosen arcs in canonical edge order. Requires a valid orientation."""
-        if not validate_orientation(self):
-            raise ContractError("orientation is not a total, legal direction map")
-        return tuple(self.direction[e] for e in self.instance.graph.edges)
+        """Chosen arcs in canonical edge order."""
+        edges = self.instance.graph.edges
+        bits = format(self.mask, f"0{len(edges)}b")[::-1]
+        return tuple((v, u) if b == "1" else (u, v) for (u, v), b in zip(edges, bits))
 
     def encoding(self) -> int:
         """Counter encoding: bit k is 1 when edge k points high to low."""
-        mask = 0
-        for k, (e, arc) in enumerate(zip(self.instance.graph.edges, self.arcs())):
-            if arc != e:
-                mask |= 1 << k
-        return mask
-
-
-def validate_orientation(o: Orientation) -> bool:
-    """Check that every edge is mapped to exactly one of its two directions."""
-    edges = o.instance.graph.edges
-    if len(o.direction) != len(edges):
-        return False
-    for u, v in edges:
-        if o.direction.get((u, v)) not in ((u, v), (v, u)):
-            return False
-    return True
+        return self.mask
 
 
 def orientation_from_mask(inst: AocmInstance, mask: int) -> Orientation:
-    """Decode a counter into an orientation.
-
-    Bit k of ``mask`` directs edge k: 0 keeps the canonical low-to-high
-    direction, 1 reverses it. Mask 0 is the all-canonical orientation.
-    """
-    m = inst.graph.edge_count
-    if mask < 0 or mask >= (1 << m):
-        raise ContractError(f"mask {mask} out of range for {m} edges")
-    direction: dict[Edge, Arc] = {}
-    for k, (u, v) in enumerate(inst.graph.edges):
-        direction[(u, v)] = (v, u) if (mask >> k) & 1 else (u, v)
-    return Orientation(inst, direction)
+    """Decode a counter into an orientation: ``Orientation(inst, mask)``."""
+    return Orientation(inst, mask)
 
 
 def orientation_from_arcs(inst: AocmInstance, arcs: Iterable[Arc]) -> Orientation:
-    """Build an orientation from one chosen arc per edge."""
-    direction: dict[Edge, Arc] = {}
+    """Build an orientation from exactly one chosen arc per edge."""
+    index = {e: k for k, e in enumerate(inst.graph.edges)}
+    directed: set[int] = set()
+    mask = 0
     for u, v in arcs:
-        e = canonical_edge(u, v)
-        if e in direction:
-            raise ContractError(f"edge {e} directed twice")
-        direction[e] = (u, v)
-    o = Orientation(inst, direction)
-    if not validate_orientation(o):
+        k = index.get(canonical_edge(u, v))
+        if k is None:
+            raise ContractError(f"arc {(u, v)} is not a direction of any edge")
+        if k in directed:
+            raise ContractError(f"edge {canonical_edge(u, v)} directed twice")
+        directed.add(k)
+        if u > v:
+            mask |= 1 << k
+    if len(directed) != len(index):
         raise ContractError("arcs do not orient every edge of the instance")
-    return o
+    return Orientation(inst, mask)
 
 
 def is_cubic(g: UndirectedGraph) -> bool:

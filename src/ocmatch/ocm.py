@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from .errors import ContractError
 from .graphs import (
     AocmInstance,
-    Arc,
     Edge,
     Orientation,
     UndirectedGraph,
@@ -332,14 +331,14 @@ def two_matching_to_orientation(inst: AocmInstance, tm: TwoMatching) -> Orientat
         raise ContractError("instance and 2-matching have different host graphs")
     if not inst.is_uniform():
         raise ContractError("orientation of a 2-matching expects uniform weights")
-    direction: dict[Edge, Arc] = {}
+    index = {e: k for k, e in enumerate(inst.graph.edges)}
+    mask = 0
     for kind, seq in two_matching_components(tm):
         ring = seq + seq[:1] if kind == "cycle" else seq
         for u, v in zip(ring, ring[1:]):
-            direction[canonical_edge(u, v)] = (u, v)
-    for e in inst.graph.edges:
-        direction.setdefault(e, e)
-    return Orientation(inst, direction)
+            if u > v:
+                mask |= 1 << index[(v, u)]
+    return Orientation(inst, mask)
 
 
 def solve_ocm(g: UndirectedGraph) -> tuple[Orientation, ControlMatching]:
@@ -351,5 +350,6 @@ def solve_ocm(g: UndirectedGraph) -> tuple[Orientation, ControlMatching]:
     inst = uniform_instance(g)
     tm = max_simple_two_matching(g)
     orientation = two_matching_to_orientation(inst, tm)
-    arcs = tuple(sorted(orientation.direction[e] for e in tm.edges))
+    matched = set(tm.edges)
+    arcs = tuple(sorted(a for e, a in zip(g.edges, orientation.arcs()) if e in matched))
     return orientation, ControlMatching(arcs, float(len(arcs)))

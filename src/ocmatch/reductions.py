@@ -99,18 +99,15 @@ def wis_to_aocm_solution(cg: ConflictGraph, chosen: Iterable[int]) -> AocmSoluti
             pair = (idx[a], idx[b])
             if pair in conflict_set:
                 raise ContractError(f"nodes {pair} conflict, the set is not independent")
-    direction: dict[Edge, Arc] = {}
     units = cg.instance.units
     total = 0
+    mask = 0
     chosen_arcs: list[Arc] = []
     for i in idx:
-        u, v = cg.arcs[i]
-        direction[canonical_edge(u, v)] = (u, v)
-        chosen_arcs.append((u, v))
-        total += units[(u, v)]
-    for u, v in cg.instance.graph.edges:
-        direction.setdefault((u, v), (u, v))
-    orientation = Orientation(cg.instance, direction)
+        mask |= (i & 1) << (i >> 1)
+        chosen_arcs.append(cg.arcs[i])
+        total += units[cg.arcs[i]]
+    orientation = Orientation(cg.instance, mask)
     matching = ControlMatching(tuple(sorted(chosen_arcs)), cg.instance.value_of(total))
     return AocmSolution(orientation, matching, matching.value)
 

@@ -74,6 +74,11 @@ class TestSolveOcm:
         assert code == 2
         assert "needs an undirected instance" in err
 
+    def test_oversized_node_count_is_a_resource_cap(self, tmp_path, capsys):
+        f = write(tmp_path, "huge.txt", "1000000000000000 1\n0 1\n")
+        code, out, err = run(capsys, "solve-ocm", f)
+        assert (code, out, err) == (3, "", "resource cap: out of memory\n")
+
 
 class TestSolveAocm:
     def test_modes_agree_on_a_single_edge(self, tmp_path, capsys):

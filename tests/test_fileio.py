@@ -112,10 +112,14 @@ class TestParsingTolerance:
 
     def test_duplicate_undirected_edges_collapse(self):
         assert parse_instance("2 2\n0 1\n1 0\n") == path_graph(2)
+        g = parse_instance("3 4\n0 1\n1 0\n2 1\n0 1\n")
+        assert g.edges == ((0, 1), (1, 2))
 
     def test_duplicate_arcs_collapse(self):
         d = parse_instance("2 2 directed\n0 1\n0 1\n")
         assert d == Digraph(2, ((0, 1),))
+        d = parse_instance("2 3 directed\n0 1\n0 1\n1 0\n")
+        assert d.arcs == ((0, 1), (1, 0))
 
 
 class TestParseErrors:
