@@ -6,11 +6,17 @@ comment so repeated runs of the same command produce byte-identical
 stdout. Exit codes: 0 success, 1 verification failure, 2 input error,
 3 resource cap (a size or work budget, or out of memory), 4 internal error
 (a broken internal check; the traceback goes to stderr).
+
+``main`` builds its argument parser once per process, on first use, and
+dispatches each verb through ``_COMMANDS``. The parser holds no command
+functions, so rebinding a ``cmd_*`` function (or a ``_COMMANDS`` value)
+takes effect on the next call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 import traceback
@@ -251,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-ocm", help="orient an undirected graph for a maximum control matching")
     p.add_argument("file", help="undirected edge-list file")
-    p.set_defaults(func=cmd_solve_ocm)
 
     p = sub.add_parser("solve-aocm", help="solve a weighted instance with chosen guarantees")
     p.add_argument("file", help="weighted edge-list file")
@@ -262,20 +267,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="split the brute-force orientation scan into this many chunks",
     )
-    p.set_defaults(func=cmd_solve_aocm)
 
     p = sub.add_parser("reduce", help="write the reduced instance for a source problem")
     p.add_argument("kind", choices=("3dcc", "wis", "is3"))
     p.add_argument("input")
     p.add_argument("output")
-    p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("verify", help="run an invariant suite against its oracles")
     p.add_argument("suite", choices=tuple(_SUITES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=None, help="random cases per phase")
     p.add_argument("--max-n", type=int, default=None, help="size cap for random cases")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export-dot", help="render an instance and its solution as a DOT file")
     p.add_argument("input")
@@ -286,16 +288,25 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CUBIC_FILE",
         help="color arcs by associated vertex of this cubic source graph",
     )
-    p.set_defaults(func=cmd_export_dot)
     return parser
 
 
+_COMMANDS = {
+    "solve-ocm": cmd_solve_ocm,
+    "solve-aocm": cmd_solve_aocm,
+    "reduce": cmd_reduce,
+    "verify": cmd_verify,
+    "export-dot": cmd_export_dot,
+}
+
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        report, failed = args.func(args)
+        report, failed = _COMMANDS[args.verb](args)
     except (InputError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -103,15 +103,29 @@ def parse_instance(text: str, source: str = "<string>") -> Instance:
     pairs: list[tuple[int, int]] = []
     weights: dict[Arc, float] = {}
     for ln, fields in rows:
-        u = _parse_int(fields[0], ln, source)
-        v = _parse_int(fields[1], ln, source)
-        _check_range(u, v, n, ln, source)
+        # One conversion and one comparison per line; a line that fails
+        # either is parsed again by the helpers that word the error.
+        try:
+            u = int(fields[0])
+            v = int(fields[1])
+        except ValueError:
+            u = v = -1
+        if not (0 <= u < n and 0 <= v < n and u != v):
+            _check_range(
+                _parse_int(fields[0], ln, source), _parse_int(fields[1], ln, source), n, ln, source
+            )
         if four:
             if (u, v) in weights:
                 raise InputError(f"{source}:{ln}: duplicate weighted edge {canonical_edge(u, v)}")
-            weights[(u, v)] = _parse_float(fields[2], ln, source)
-            weights[(v, u)] = _parse_float(fields[3], ln, source)
-        pairs.append((u, v) if directed else canonical_edge(u, v))
+            try:
+                wf = float(fields[2])
+                wb = float(fields[3])
+            except ValueError:
+                wf = _parse_float(fields[2], ln, source)
+                wb = _parse_float(fields[3], ln, source)
+            weights[(u, v)] = wf
+            weights[(v, u)] = wb
+        pairs.append((u, v) if directed or u < v else (v, u))
     unique = tuple(dict.fromkeys(pairs))
     if directed:
         return Digraph(n, unique)

@@ -50,19 +50,22 @@ class UndirectedGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.node_count, int) or self.node_count < 0:
-            raise InputError(f"node_count must be a nonnegative int, got {self.node_count!r}")
+        n = self.node_count
+        if not isinstance(n, int) or n < 0:
+            raise InputError(f"node_count must be a nonnegative int, got {n!r}")
         for u, v in self.edges:
-            _check_endpoint(u, self.node_count, "edge")
-            _check_endpoint(v, self.node_count, "edge")
-        canon = sorted(canonical_edge(u, v) for u, v in self.edges)
-        seen: set[Edge] = set()
-        for u, v in canon:
+            if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
+                _check_endpoint(u, n, "edge")
+                _check_endpoint(v, n, "edge")
+        canon = sorted([(u, v) if u <= v else (v, u) for u, v in self.edges])
+        prev = None
+        for edge in canon:
+            u, v = edge
             if u == v:
                 raise InputError(f"self-loop at node {u} is not allowed")
-            if (u, v) in seen:
+            if edge == prev:
                 raise InputError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
+            prev = edge
         object.__setattr__(self, "edges", tuple(canon))
 
     @property
@@ -140,23 +143,24 @@ class AocmInstance:
     weights: Mapping[Arc, float]
 
     def __post_init__(self) -> None:
-        expected: set[Arc] = set()
-        for u, v in self.graph.edges:
-            expected.add((u, v))
-            expected.add((v, u))
-        got = set(self.weights)
-        if got != expected:
+        weights = self.weights
+        edges = self.graph.edges
+        try:
+            clean = {arc: float(weights[arc]) for u, v in edges for arc in ((u, v), (v, u))}
+        except KeyError:
+            clean = None
+        # Every key of clean is a key of weights, so equal sizes mean equal domains.
+        if clean is None or len(clean) != len(weights):
+            expected = {arc for u, v in edges for arc in ((u, v), (v, u))}
+            got = set(weights)
             missing = sorted(expected - got)
             extra = sorted(got - expected)
             raise InputError(
                 f"weight domain mismatch: missing {missing[:4]}, unexpected {extra[:4]}"
             )
-        clean = {}
-        for arc in sorted(self.weights):
-            w = float(self.weights[arc])
-            if not math.isfinite(w):
-                raise InputError(f"weight for arc {arc} is not finite")
-            clean[arc] = w
+        if not all(map(math.isfinite, clean.values())):
+            arc = min(a for a, w in clean.items() if not math.isfinite(w))
+            raise InputError(f"weight for arc {arc} is not finite")
         object.__setattr__(self, "weights", clean)
 
     def weight(self, u: int, v: int) -> float:

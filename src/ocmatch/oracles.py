@@ -9,7 +9,10 @@ The subset searches recurse arc by arc (or node by node) with an
 include/exclude branch; the include branch is taken only while the
 partial set is still feasible. Feasibility is hereditary for matchings,
 degree-bounded subgraphs, and independent sets, so every feasible subset
-still appears as a leaf and the enumeration remains exhaustive.
+still appears as a leaf and the enumeration remains exhaustive. The
+control-matching search also drops a branch whose value plus every
+remaining positive weight stays strictly below its best so far: no leaf
+there can win or tie, so the answer and its tie-break are unchanged.
 """
 
 from __future__ import annotations
@@ -62,6 +65,10 @@ def brute_control_matching(
             f"brute_control_matching caps at {max_arcs} arcs, got {len(arcs)}"
         )
     arc_w, scale = _exact(1.0 if weights is None else weights[a] for a in arcs)
+    # reach[i]: the most that arcs i.. can still add.
+    reach = [0] * (len(arcs) + 1)
+    for i in range(len(arcs) - 1, -1, -1):
+        reach[i] = reach[i + 1] + max(arc_w[i], 0)
     best_val = 0
     best_arcs: tuple[Arc, ...] = ()
     cur: list[Arc] = []
@@ -76,6 +83,8 @@ def brute_control_matching(
             best_arcs = tuple(cur)
 
     def rec(i: int, val: int) -> None:
+        if val + reach[i] < best_val:
+            return
         if i == len(arcs):
             consider(val)
             return

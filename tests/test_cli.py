@@ -91,6 +91,11 @@ class TestSolveAocm:
             assert rep.get("value") == "5"
             assert rep.get("guarantee") == guarantee
             assert dict(rep.blocks)["matching"] == ["0 -> 1"]
+        # The parser is reused between calls, so an omitted option falls back
+        # to its default rather than to the previous call's value.
+        code, out, _ = run(capsys, "solve-aocm", f)
+        assert code == 0
+        assert from_text(out).get("mode") == "exact"
 
     def test_partitioned_brute_matches_plain(self, tmp_path, capsys):
         inst = AocmInstance(
@@ -351,10 +356,13 @@ class TestTopLevel:
         _, out, _ = run(capsys, "solve-ocm", f)
         assert from_text(out).to_text() == out
 
-    def test_unknown_verb_exits_with_argparse_error(self, capsys):
+    def test_unknown_verb_exits_with_argparse_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
+        f = write(tmp_path, "c3.txt", write_undirected(cycle_graph(3)))
+        code, _, _ = run(capsys, "solve-ocm", f)
+        assert code == 0
 
     def test_internal_error_has_its_own_exit_code(self, tmp_path, capsys, monkeypatch):
         def broken(_graph):

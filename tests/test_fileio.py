@@ -134,10 +134,15 @@ class TestParseErrors:
     def test_bad_integer_is_line_numbered(self):
         with pytest.raises(InputError, match="in.txt:2: expected an integer"):
             parse_instance("2 1\n0 x\n", source="in.txt")
+        # A bad second field is reported even after an out-of-range first one.
+        with pytest.raises(InputError, match="in.txt:2: expected an integer, got 'x'"):
+            parse_instance("2 1\n7 x\n", source="in.txt")
 
     def test_out_of_range_node(self):
         with pytest.raises(InputError, match=r"in.txt:2: node 7 out of range 0\.\.1"):
             parse_instance("2 1\n0 7\n", source="in.txt")
+        with pytest.raises(InputError, match=r"in.txt:2: node -1 out of range 0\.\.1"):
+            parse_instance("2 1\n0 -1\n", source="in.txt")
 
     def test_self_loop(self):
         with pytest.raises(InputError, match="self-loop at node 1"):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocmatch.errors import ContractError, InputError
+from ocmatch.fileio import parse_instance
 from ocmatch.generators import random_weighted_instance
 from ocmatch.graphs import (
     AocmInstance,
@@ -94,8 +95,10 @@ class TestAocmInstance:
 
     def test_rejects_nonfinite_weight(self):
         g = path_graph(2)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"weight for arc \(0, 1\) is not finite"):
             AocmInstance(g, {(0, 1): float("inf"), (1, 0): 0.0})
+        with pytest.raises(InputError, match=r"weight for arc \(0, 1\) is not finite"):
+            parse_instance("2 1\n0 1 inf 0\n")
 
     def test_weight_lookup_and_uniformity(self):
         inst = uniform_instance(cycle_graph(3), 2.5)

@@ -81,14 +81,15 @@ def _split_graph_matching_size(g):
 
     The split graph is rebuilt here from its definition, not taken from the
     solver: copies 2u and 2u+1 of each node u, and subdivision nodes
-    ("e", k, 0) and ("e", k, 1) for edge k = (u, v), joined to each other,
-    to both copies of u and to both copies of v respectively.
+    2n+2k and 2n+2k+1 for edge k = (u, v), joined to each other, to both
+    copies of u and to both copies of v respectively.
     """
     nx = pytest.importorskip("networkx")
+    n = g.node_count
     aux = nx.Graph()
-    aux.add_nodes_from(range(2 * g.node_count))
+    aux.add_nodes_from(range(2 * n))
     for k, (u, v) in enumerate(g.edges):
-        eu, ev = ("e", k, 0), ("e", k, 1)
+        eu, ev = 2 * n + 2 * k, 2 * n + 2 * k + 1
         aux.add_edges_from([(eu, ev), (eu, 2 * u), (eu, 2 * u + 1), (ev, 2 * v), (ev, 2 * v + 1)])
     return len(nx.max_weight_matching(aux, maxcardinality=True))
 
