@@ -32,7 +32,6 @@ from .graphs import (
     cycle_graph,
     is_cubic,
     orientation_from_arcs,
-    orientation_from_mask,
     path_graph,
     star_graph,
     uniform_instance,
@@ -127,7 +126,6 @@ __all__ = [
     "max_weight_control_matching",
     "max_weight_independent_set",
     "orientation_from_arcs",
-    "orientation_from_mask",
     "parse_instance",
     "path_graph",
     "random_connected_graph",

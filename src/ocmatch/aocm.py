@@ -23,13 +23,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .errors import InputError, ResourceLimitError
-from .graphs import (
-    AocmInstance,
-    Arc,
-    Orientation,
-    orientation_from_mask,
-)
+from .errors import ResourceLimitError
+from .graphs import AocmInstance, Arc, Orientation
 from .matching import (
     AocmSolution,
     ControlMatching,
@@ -47,18 +42,15 @@ __all__ = [
 ]
 
 
-def _scan_orientations(
-    inst: AocmInstance, lo: int, hi: int
-) -> tuple[int, int]:
-    """Best (value in units, counter) over Gray indices in [lo, hi).
+def _scan_orientations(inst: AocmInstance) -> tuple[int, int]:
+    """Best (value in units, counter) over every orientation.
 
     Gray index i stands for the orientation counter i ^ (i >> 1) (the
-    reflected Gray code), so consecutive indices differ in one edge.
-    Within the range the largest value wins, ties going to the smallest
-    counter, so the result is independent of how ranges are later
-    stitched together. One matching kernel holds the positive arcs of
-    the current orientation: each step switches the old direction of the
-    flipped edge off and the new one on, then repairs the matching.
+    reflected Gray code), so consecutive indices differ in one edge. One
+    scan visits indices 0 .. 2^m - 1; the largest value wins, ties going
+    to the smallest counter. One matching kernel holds the positive arcs
+    of the current orientation: each step switches the old direction of
+    the flipped edge off and the new one on, then repairs the matching.
     """
     n = inst.graph.node_count
     units = inst.units
@@ -68,15 +60,14 @@ def _scan_orientations(
         n, [(u, v, units[(u, v)]) for u, v in edges] + [(v, u, units[(v, u)]) for u, v in edges]
     )
     pairs = list(zip(ids[:m], ids[m:]))
-    mask = lo ^ (lo >> 1)
-    for k, (fwd, rev) in enumerate(pairs):
-        off = fwd if (mask >> k) & 1 else rev
-        if off >= 0:
-            kernel.deactivate(off)
+    # Counter 0 directs every edge low to high.
+    for _, rev in pairs:
+        if rev >= 0:
+            kernel.deactivate(rev)
     kernel.repair()
     best_val = kernel.value
-    best_mask = mask
-    for i in range(lo + 1, hi):
+    best_mask = mask = 0
+    for i in range(1, 1 << m):
         k = (i & -i).bit_length() - 1
         mask ^= 1 << k
         fwd, rev = pairs[k]
@@ -93,34 +84,22 @@ def _scan_orientations(
     return best_val, best_mask
 
 
-def solve_aocm_brute(
-    inst: AocmInstance, *, max_edges: int = 24, partitions: int = 1
-) -> AocmSolution:
-    """Scan all orientations; ties go to the smallest counter.
+def solve_aocm_brute(inst: AocmInstance, *, max_edges: int = 24) -> AocmSolution:
+    """Scan all orientations in one pass; ties go to the smallest counter.
 
-    ``partitions`` splits the Gray index range into that many contiguous
-    chunks scanned in turn; the merge takes the higher value, then the
-    smaller counter, so it cannot change the answer. Caps at ``max_edges``
-    edges.
+    Caps at ``max_edges`` edges.
     """
     m = inst.graph.edge_count
     if m > max_edges:
         raise ResourceLimitError(
             f"brute force caps at {max_edges} edges, got {m}"
         )
-    if partitions < 1:
-        raise InputError("partitions must be at least 1")
-    total = 1 << m
-    step = -(-total // partitions)
-    best_val, best_mask = max(
-        (_scan_orientations(inst, lo, min(lo + step, total)) for lo in range(0, total, step)),
-        key=lambda r: (r[0], -r[1]),
-    )
-    orientation = orientation_from_mask(inst, best_mask)
+    best_val, best_mask = _scan_orientations(inst)
+    orientation = Orientation(inst.graph, best_mask)
     matching = max_weight_control_matching(inst, orientation)
     if sum(map(inst.units.__getitem__, matching.arcs)) != best_val:
         raise AssertionError("scan value disagrees with the recovered matching")
-    return AocmSolution(orientation, matching, matching.value)
+    return AocmSolution(inst, orientation, matching)
 
 
 def _assignment_bound(inst: AocmInstance) -> tuple[Callable[..., int], int]:
@@ -131,7 +110,9 @@ def _assignment_bound(inst: AocmInstance) -> tuple[Callable[..., int], int]:
     A maximum that beats ``need`` with both arcs of an edge (a 2-cycle)
     branches: forbid one arc, then the other (Carpaneto & Toth 1980). It
     stops once dropping the lighter arc of each 2-cycle beats ``need``.
-    The bound is at most ``need`` exactly when nothing beats it.
+    The bound is at most ``need`` exactly when nothing beats it. The
+    branches run on an explicit stack, so their depth is not limited by
+    the interpreter's recursion limit.
     """
     units = inst.units
     kernel, ids = _positive_kernel(
@@ -143,21 +124,36 @@ def _assignment_bound(inst: AocmInstance) -> tuple[Callable[..., int], int]:
     active = sum(1 << i for i, a in enumerate(ids) if a >= 0)
 
     def beat(need: int, charge: Callable[[], None]) -> int:
-        charge()
-        kernel.repair()
-        value = kernel.value
-        if value <= need:
-            return value
-        cycles = [(a, b) for a, b in pairs if tail_arc[tails[a]] == a and tail_arc[tails[b]] == b]
-        if value - sum(min(weight[a], weight[b]) for a, b in cycles) > need:
-            return value
-        for arc in cycles[0]:
-            kernel.deactivate(arc)
-            beaten = beat(need, charge) > need
-            kernel.activate(arc)
+        # One entry per open branch: the arc it forbids, and the other arc
+        # of its 2-cycle while that one is still to be tried (else -1). The
+        # stack is empty only while the root solves.
+        stack: list[tuple[int, int]] = []
+        root = 0
+        while True:
+            charge()
+            kernel.repair()
+            value = kernel.value
+            if not stack:
+                root = value
+            beaten = value > need
             if beaten:
-                return value
-        return need
+                cycles = [
+                    (a, b) for a, b in pairs if tail_arc[tails[a]] == a and tail_arc[tails[b]] == b
+                ]
+                if value - sum(min(weight[a], weight[b]) for a, b in cycles) <= need:
+                    a, b = cycles[0]
+                    kernel.deactivate(a)
+                    stack.append((a, b))
+                    continue
+            while stack:
+                arc, other = stack.pop()
+                kernel.activate(arc)
+                if not beaten and other >= 0:
+                    kernel.deactivate(other)
+                    stack.append((other, -1))
+                    break
+            else:
+                return root if beaten else min(root, need)
 
     def bound(remaining: int, need: int, charge: Callable[[], None]) -> int:
         nonlocal active
@@ -203,7 +199,7 @@ def solve_aocm_exact(
     matching = max_weight_control_matching(inst, sol.orientation)
     if sum(units[a] for a in matching.arcs) != best_w:
         raise AssertionError("independent-set weight disagrees with the solution")
-    return AocmSolution(sol.orientation, matching, matching.value)
+    return AocmSolution(inst, sol.orientation, matching)
 
 
 def solve_aocm_greedy(inst: AocmInstance) -> AocmSolution:
@@ -237,6 +233,6 @@ def solve_aocm_greedy(inst: AocmInstance) -> AocmSolution:
         used_heads.add(v)
         chosen.append((u, v))
         total += w
-    orientation = Orientation(inst, mask)
+    orientation = Orientation(inst.graph, mask)
     matching = ControlMatching(tuple(sorted(chosen)), inst.value_of(total))
-    return AocmSolution(orientation, matching, matching.value)
+    return AocmSolution(inst, orientation, matching)

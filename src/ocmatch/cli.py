@@ -87,10 +87,8 @@ def cmd_solve_aocm(args: argparse.Namespace) -> tuple[RunReport, bool]:
     obj = load_instance(args.file)
     if not isinstance(obj, AocmInstance):
         raise InputError(f"{args.file}: solve-aocm needs a weighted instance")
-    if args.mode != "brute" and args.partitions != 1:
-        raise InputError("--partitions only applies to --mode brute")
     if args.mode == "brute":
-        sol = solve_aocm_brute(obj, partitions=args.partitions)
+        sol = solve_aocm_brute(obj)
     elif args.mode == "exact":
         sol = solve_aocm_exact(obj)
     else:
@@ -261,12 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-aocm", help="solve a weighted instance with chosen guarantees")
     p.add_argument("file", help="weighted edge-list file")
     p.add_argument("--mode", choices=("brute", "exact", "greedy"), default="exact")
-    p.add_argument(
-        "--partitions",
-        type=int,
-        default=1,
-        help="split the brute-force orientation scan into this many chunks",
-    )
 
     p = sub.add_parser("reduce", help="write the reduced instance for a source problem")
     p.add_argument("kind", choices=("3dcc", "wis", "is3"))

@@ -9,14 +9,7 @@ from __future__ import annotations
 import random
 
 from .errors import InputError
-from .graphs import (
-    AocmInstance,
-    Arc,
-    Digraph,
-    Orientation,
-    UndirectedGraph,
-    orientation_from_mask,
-)
+from .graphs import AocmInstance, Arc, Digraph, Orientation, UndirectedGraph
 
 
 def _all_pairs(n: int) -> list[tuple[int, int]]:
@@ -85,8 +78,6 @@ def random_weighted_instance(
     return AocmInstance(g, weights)
 
 
-def random_orientation(rng: random.Random, inst: AocmInstance) -> Orientation:
-    """A uniformly random orientation of the instance."""
-    return orientation_from_mask(
-        inst, rng.randrange(1 << inst.graph.edge_count)
-    )
+def random_orientation(rng: random.Random, g: UndirectedGraph) -> Orientation:
+    """A uniformly random orientation of the graph."""
+    return Orientation(g, rng.randrange(1 << g.edge_count))

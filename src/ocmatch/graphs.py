@@ -6,8 +6,9 @@ ordered pairs sorted lexicographically. Equal inputs therefore produce
 identical objects, which is what makes the solvers and the command line
 reports reproducible byte for byte. The constructors reject self-loops,
 duplicates and out-of-range endpoints; callers holding raw input collapse
-its duplicates first. An orientation is one bit per edge, an int mask over
-the canonical edge order.
+its duplicates first. An orientation belongs to an undirected graph, not
+to a weighted instance: it is one bit per edge, an int mask over the
+canonical edge order, so the unweighted and weighted solvers share it.
 
 Weights are 64-bit floats, hence dyadic rationals. Solvers add and compare
 them exactly as integer multiples of one power-of-two unit per instance
@@ -192,11 +193,6 @@ class AocmInstance:
         """A sum of units as a weight, rounded once to the nearest float."""
         return total / self._lattice[0]
 
-    def is_uniform(self) -> bool:
-        """True if every ordered direction carries the same weight."""
-        vals = set(self.weights.values())
-        return len(vals) <= 1
-
     def ordered_arcs(self) -> tuple[Arc, ...]:
         """Both directions of every edge, grouped per edge in canonical edge order.
 
@@ -222,42 +218,33 @@ def uniform_instance(g: UndirectedGraph, weight: float = 1.0) -> AocmInstance:
 
 @dataclass(frozen=True)
 class Orientation:
-    """One direction for each edge of an instance's graph, as an edge mask.
+    """One direction for each edge of a graph, as an edge mask.
 
-    Bit k of ``mask`` is 1 when edge k of ``instance.graph.edges`` points
-    from its higher to its lower endpoint; mask 0 directs every edge low to
-    high. The mask is range-checked on construction, so every orientation
-    is total and legal.
+    Bit k of ``mask`` is 1 when edge k of ``graph.edges`` points from its
+    higher to its lower endpoint; mask 0 directs every edge low to high.
+    The mask is range-checked on construction, so every orientation is
+    total and legal.
     """
 
-    instance: AocmInstance
+    graph: UndirectedGraph
     mask: int
 
     def __post_init__(self) -> None:
-        m = self.instance.graph.edge_count
+        m = self.graph.edge_count
         mask = self.mask
         if not isinstance(mask, int) or isinstance(mask, bool) or not 0 <= mask < 1 << m:
             raise ContractError(f"mask {mask!r} out of range for {m} edges")
 
     def arcs(self) -> tuple[Arc, ...]:
         """Chosen arcs in canonical edge order."""
-        edges = self.instance.graph.edges
+        edges = self.graph.edges
         bits = format(self.mask, f"0{len(edges)}b")[::-1]
         return tuple((v, u) if b == "1" else (u, v) for (u, v), b in zip(edges, bits))
 
-    def encoding(self) -> int:
-        """Counter encoding: bit k is 1 when edge k points high to low."""
-        return self.mask
 
-
-def orientation_from_mask(inst: AocmInstance, mask: int) -> Orientation:
-    """Decode a counter into an orientation: ``Orientation(inst, mask)``."""
-    return Orientation(inst, mask)
-
-
-def orientation_from_arcs(inst: AocmInstance, arcs: Iterable[Arc]) -> Orientation:
-    """Build an orientation from exactly one chosen arc per edge."""
-    index = {e: k for k, e in enumerate(inst.graph.edges)}
+def orientation_from_arcs(g: UndirectedGraph, arcs: Iterable[Arc]) -> Orientation:
+    """Build an orientation of ``g`` from exactly one chosen arc per edge."""
+    index = {e: k for k, e in enumerate(g.edges)}
     directed: set[int] = set()
     mask = 0
     for u, v in arcs:
@@ -270,8 +257,8 @@ def orientation_from_arcs(inst: AocmInstance, arcs: Iterable[Arc]) -> Orientatio
         if u > v:
             mask |= 1 << k
     if len(directed) != len(index):
-        raise ContractError("arcs do not orient every edge of the instance")
-    return Orientation(inst, mask)
+        raise ContractError("arcs do not orient every edge of the graph")
+    return Orientation(g, mask)
 
 
 def is_cubic(g: UndirectedGraph) -> bool:

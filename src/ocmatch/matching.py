@@ -74,7 +74,7 @@ def _digraph_view(d: Digraph | Orientation) -> tuple[int, tuple[Arc, ...]]:
     if isinstance(d, Digraph):
         return d.node_count, d.arcs
     if isinstance(d, Orientation):
-        return d.instance.graph.node_count, tuple(sorted(d.arcs()))
+        return d.graph.node_count, tuple(sorted(d.arcs()))
     raise ContractError(f"expected Digraph or Orientation, got {type(d).__name__}")
 
 
@@ -385,12 +385,13 @@ def max_control_matching(d: Digraph | Orientation) -> ControlMatching:
 def max_weight_control_matching(inst: AocmInstance, o: Orientation) -> ControlMatching:
     """A maximum-weight control matching on an orientation, canonical under ties.
 
-    Weights come from the instance. Arcs of nonpositive weight appear in
-    the result only when including them is value-neutral and makes the arc
-    tuple lexicographically smaller.
+    Weights come from the instance, whose graph the orientation must
+    orient. Arcs of nonpositive weight appear in the result only when
+    including them is value-neutral and makes the arc tuple
+    lexicographically smaller.
     """
-    if o.instance is not inst and o.instance != inst:
-        raise ContractError("orientation belongs to a different instance")
+    if o.graph is not inst.graph and o.graph != inst.graph:
+        raise ContractError("orientation belongs to a different graph")
     units = inst.units
     items = sorted((u, v, units[(u, v)]) for u, v in o.arcs())
     arcs, total = _lex_min_optimal(inst.graph.node_count, items)
@@ -411,23 +412,32 @@ def driver_count(d: Digraph | Orientation) -> int:
 
 @dataclass(frozen=True)
 class AocmSolution:
-    """An orientation together with a matching on it and the matching's value."""
+    """An orientation of an instance's graph with a matching on it.
 
+    The solution's value is the matching's value, which must be the
+    nonnegative weight sum of its arcs under the instance.
+    """
+
+    instance: AocmInstance
     orientation: Orientation
     matching: ControlMatching
-    value: float
 
     def __post_init__(self) -> None:
-        o = self.orientation
+        inst, o = self.instance, self.orientation
+        if o.graph is not inst.graph and o.graph != inst.graph:
+            raise ContractError("orientation belongs to a different graph")
         oriented = set(o.arcs())
-        units = o.instance.units
+        units = inst.units
         total = 0
         for arc in self.matching.arcs:
             if arc not in oriented:
                 raise ContractError(f"matching arc {arc} is not oriented that way")
             total += units[arc]
-        if o.instance.value_of(total) != self.value:
+        if inst.value_of(total) != self.value:
             raise ContractError(f"stated value {self.value} is not the arc-weight sum")
         if self.value < 0:
             raise ContractError("solution value must be nonnegative")
-        object.__setattr__(self, "value", float(self.value))
+
+    @property
+    def value(self) -> float:
+        return self.matching.value

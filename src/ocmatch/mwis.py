@@ -7,6 +7,8 @@ A subtree is pruned when the caller's bound on what it can add does not
 beat the incumbent. Every valid bound returns the same set: the seed if
 it is optimal, else the first optimal node of the unpruned tree in
 preorder, as no pruned subtree holds a set heavier than the incumbent.
+The tree is walked in that preorder on an explicit stack, so its depth
+is not limited by the interpreter's recursion limit.
 
 Vertices of nonpositive weight can never raise the total and are removed
 from the search space up front.
@@ -55,16 +57,19 @@ def max_weight_independent_set(
             message = f"independent-set search exceeded {node_budget} nodes and bound solves"
             raise ResourceLimitError(message, best_bound=best_w)
 
-    def branch(remaining: int, cur_mask: int, cur_w: int) -> None:
-        nonlocal best_mask, best_w
+    # Each entry is a search node (remaining, cur_mask, cur_w); the
+    # include branch is pushed last, so it is explored first.
+    stack = [(candidates, 0, 0)]
+    while stack:
+        remaining, cur_mask, cur_w = stack.pop()
         charge()
         if cur_w > best_w:
             best_w = cur_w
             best_mask = cur_mask
         if not remaining:
-            return
+            continue
         if cur_w + bound(remaining, best_w - cur_w, charge) <= best_w:
-            return
+            continue
         pick = pick_deg = -1
         m = remaining
         while m:
@@ -76,8 +81,7 @@ def max_weight_independent_set(
                 pick_deg = deg
                 pick = v
         bit = 1 << pick
-        branch(remaining & ~(neighbor_masks[pick] | bit), cur_mask | bit, cur_w + weights[pick])
-        branch(remaining & ~bit, cur_mask, cur_w)
-
-    branch(candidates, 0, 0)
+        stack.append((remaining & ~bit, cur_mask, cur_w))
+        include = remaining & ~(neighbor_masks[pick] | bit)
+        stack.append((include, cur_mask | bit, cur_w + weights[pick]))
     return best_mask, best_w

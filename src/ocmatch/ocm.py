@@ -1,4 +1,4 @@
-"""Exact solver for uniformly weighted instances.
+"""Exact solver for unweighted graphs.
 
 The optimum over all orientations equals the size of a maximum simple
 2-matching of the undirected graph: an edge set with all degrees at most
@@ -27,14 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContractError
-from .graphs import (
-    AocmInstance,
-    Edge,
-    Orientation,
-    UndirectedGraph,
-    canonical_edge,
-    uniform_instance,
-)
+from .graphs import Edge, Orientation, UndirectedGraph, canonical_edge
 from .matching import ControlMatching
 
 
@@ -318,27 +311,23 @@ def two_matching_components(tm: TwoMatching) -> list[tuple[str, tuple[int, ...]]
     return components
 
 
-def two_matching_to_orientation(inst: AocmInstance, tm: TwoMatching) -> Orientation:
+def two_matching_to_orientation(tm: TwoMatching) -> Orientation:
     """Orient a 2-matching head to tail; everything else points low to high.
 
     Each path is directed away from its smaller endpoint and each cycle is
     directed consistently around, starting at its smallest node toward
     that node's smaller neighbor, so every 2-matching edge becomes an arc
-    whose head and tail are used exactly once. Requires a uniformly
-    weighted instance over the 2-matching's host graph.
+    whose head and tail are used exactly once. The result orients the
+    2-matching's host graph.
     """
-    if inst.graph != tm.graph:
-        raise ContractError("instance and 2-matching have different host graphs")
-    if not inst.is_uniform():
-        raise ContractError("orientation of a 2-matching expects uniform weights")
-    index = {e: k for k, e in enumerate(inst.graph.edges)}
+    index = {e: k for k, e in enumerate(tm.graph.edges)}
     mask = 0
     for kind, seq in two_matching_components(tm):
         ring = seq + seq[:1] if kind == "cycle" else seq
         for u, v in zip(ring, ring[1:]):
             if u > v:
                 mask |= 1 << index[(v, u)]
-    return Orientation(inst, mask)
+    return Orientation(tm.graph, mask)
 
 
 def solve_ocm(g: UndirectedGraph) -> tuple[Orientation, ControlMatching]:
@@ -347,9 +336,8 @@ def solve_ocm(g: UndirectedGraph) -> tuple[Orientation, ControlMatching]:
     The returned matching is exactly the oriented 2-matching, and its size
     is the optimum over every orientation of the graph.
     """
-    inst = uniform_instance(g)
     tm = max_simple_two_matching(g)
-    orientation = two_matching_to_orientation(inst, tm)
+    orientation = two_matching_to_orientation(tm)
     matched = set(tm.edges)
     arcs = tuple(sorted(a for e, a in zip(g.edges, orientation.arcs()) if e in matched))
     return orientation, ControlMatching(arcs, float(len(arcs)))

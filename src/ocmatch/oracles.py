@@ -20,14 +20,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ContractError, ResourceLimitError
-from .graphs import (
-    AocmInstance,
-    Arc,
-    Digraph,
-    Orientation,
-    UndirectedGraph,
-    orientation_from_mask,
-)
+from .graphs import Arc, Digraph, Orientation, UndirectedGraph
 from .matching import ControlMatching
 from .reductions import CycleCover
 
@@ -43,7 +36,7 @@ def _oracle_arcs(d: Digraph | Orientation) -> tuple[int, list[Arc]]:
     if isinstance(d, Digraph):
         return d.node_count, sorted(d.arcs)
     if isinstance(d, Orientation):
-        return d.instance.graph.node_count, sorted(d.arcs())
+        return d.graph.node_count, sorted(d.arcs())
     raise ContractError(f"expected Digraph or Orientation, got {type(d).__name__}")
 
 
@@ -232,18 +225,18 @@ def brute_3dcc(d: Digraph, *, max_nodes: int = 9) -> CycleCover | None:
 
 
 def enumerate_orientations(
-    inst: AocmInstance, *, max_edges: int = 24
+    g: UndirectedGraph, *, max_edges: int = 24
 ) -> Iterator[Orientation]:
-    """Yield every orientation of the instance in counter order.
+    """Yield every orientation of the graph in counter order.
 
     Bit k of the counter directs edge k; counter 0 is the all-canonical
     (low to high) orientation. Caps at ``max_edges`` edges, i.e. 2^24
     orientations.
     """
-    m = inst.graph.edge_count
+    m = g.edge_count
     if m > max_edges:
         raise ResourceLimitError(
             f"enumerate_orientations caps at {max_edges} edges, got {m}"
         )
     for mask in range(1 << m):
-        yield orientation_from_mask(inst, mask)
+        yield Orientation(g, mask)

@@ -107,9 +107,9 @@ def wis_to_aocm_solution(cg: ConflictGraph, chosen: Iterable[int]) -> AocmSoluti
         mask |= (i & 1) << (i >> 1)
         chosen_arcs.append(cg.arcs[i])
         total += units[cg.arcs[i]]
-    orientation = Orientation(cg.instance, mask)
+    orientation = Orientation(cg.instance.graph, mask)
     matching = ControlMatching(tuple(sorted(chosen_arcs)), cg.instance.value_of(total))
-    return AocmSolution(orientation, matching, matching.value)
+    return AocmSolution(cg.instance, orientation, matching)
 
 
 @dataclass(frozen=True)
@@ -182,8 +182,7 @@ def extract_cycle_cover(d: Digraph, sol: AocmSolution) -> CycleCover | None:
     original arcs, so following successors decomposes it into disjoint
     cycles; the orientation discipline rules out 2-cycles.
     """
-    expected = dcc3_to_aocm(d)
-    if sol.orientation.instance != expected:
+    if sol.instance != dcc3_to_aocm(d):
         raise ContractError("solution does not belong to the reduced instance")
     n = d.node_count
     if sol.value != n:
@@ -522,7 +521,7 @@ def check_lreduction(g: UndirectedGraph, y: Orientation) -> LReductionReport:
     so this is meant for gadget-sized inputs.
     """
     gi = build_gadget_f(g)
-    if y.instance != gi.host:
+    if y.graph != gi.host.graph:
         raise ContractError("orientation does not belong to the gadget host")
     from .aocm import solve_aocm_exact
     from .mwis import max_weight_independent_set

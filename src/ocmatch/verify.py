@@ -21,9 +21,9 @@ from .generators import random_digraph, random_weighted_instance
 from .graphs import (
     AocmInstance,
     Digraph,
+    Orientation,
     complete_bipartite,
     complete_graph,
-    orientation_from_mask,
 )
 from .matching import max_weight_control_matching
 from .mwis import max_weight_independent_set
@@ -206,7 +206,7 @@ def verify_lemma3(*, seed: int = 0, samples: int = 200) -> SuiteResult:
     best_value = -1.0
     best_mask = 0
     for mask in range(1 << edge_count):
-        o = orientation_from_mask(gi.host, mask)
+        o = Orientation(gi.host.graph, mask)
         matched = max_weight_control_matching(gi.host, o)
         try:
             part = classify_vertex_cases(gi, matched.arcs)
@@ -223,7 +223,7 @@ def verify_lemma3(*, seed: int = 0, samples: int = 200) -> SuiteResult:
             best_value, best_mask = matched.value, mask
     if best_value != 9.0:
         bad.append(f"exhaustive optimum {best_value:g}, expected 9")
-    top = orientation_from_mask(gi.host, best_mask)
+    top = Orientation(gi.host.graph, best_mask)
     equality = False
     try:
         check = check_lemma3(gi, top, optimal=True)
@@ -238,7 +238,7 @@ def verify_lemma3(*, seed: int = 0, samples: int = 200) -> SuiteResult:
     m2 = gi2.host.graph.edge_count
     for _ in range(samples):
         mask = rng.randrange(1 << m2)
-        o = orientation_from_mask(gi2.host, mask)
+        o = Orientation(gi2.host.graph, mask)
         try:
             chk = check_lemma3(gi2, o)
             decode_g(gi2, o)
@@ -302,13 +302,13 @@ def verify_lreduction(*, seed: int = 0, samples: int = 1000) -> SuiteResult:
                 )
         except ContractError as exc:
             bad.append(f"{name}: {exc}")
-        public = check_lreduction(g, orientation_from_mask(gi.host, 0))
+        public = check_lreduction(g, Orientation(gi.host.graph, 0))
         if public.opt_aocm != opt_aocm:
             bad.append(f"{name}: public wrapper optimum {public.opt_aocm:g} disagrees")
         m = gi.host.graph.edge_count
         for _ in range(samples):
             mask = rng.randrange(1 << m)
-            y = orientation_from_mask(gi.host, mask)
+            y = Orientation(gi.host.graph, mask)
             try:
                 rep = lreduction_report(gi, y, opt_is, opt_aocm)
             except ContractError as exc:

@@ -97,16 +97,6 @@ class TestSolveAocm:
         assert code == 0
         assert from_text(out).get("mode") == "exact"
 
-    def test_partitioned_brute_matches_plain(self, tmp_path, capsys):
-        inst = AocmInstance(
-            cycle_graph(3),
-            {(0, 1): 2.0, (1, 0): 1.0, (1, 2): 3.0, (2, 1): 1.0, (0, 2): 1.0, (2, 0): 4.0},
-        )
-        f = write(tmp_path, "tri.txt", write_aocm(inst))
-        _, plain, _ = run(capsys, "solve-aocm", f, "--mode", "brute")
-        _, split, _ = run(capsys, "solve-aocm", f, "--mode", "brute", "--partitions", "3")
-        assert plain == split
-
     def test_offset_weights_solve_exactly(self, tmp_path, capsys):
         rng = random.Random(0)
         g = random_connected_graph(rng, 7, 12)
@@ -122,19 +112,19 @@ class TestSolveAocm:
             values.append(from_text(out).get("value"))
         assert values[0] == values[1]
 
+    def test_partitions_flag_is_rejected(self, tmp_path, capsys):
+        inst = AocmInstance(path_graph(2), {(0, 1): 1.0, (1, 0): 1.0})
+        f = write(tmp_path, "edge.txt", write_aocm(inst))
+        with pytest.raises(SystemExit) as info:
+            main(["solve-aocm", f, "--mode", "brute", "--partitions", "2"])
+        assert info.value.code == 2
+
     def test_weight_sum_beyond_float_range_is_an_input_error(self, tmp_path, capsys):
         f = write(tmp_path, "huge.txt", "4 2 weighted\n0 1 1e308 0\n2 3 1e308 0\n")
         for mode in ("exact", "brute", "greedy"):
             code, _, err = run(capsys, "solve-aocm", f, "--mode", mode)
             assert code == 2, err
             assert err.startswith("error:")
-
-    def test_partitions_require_brute_mode(self, tmp_path, capsys):
-        inst = AocmInstance(path_graph(2), {(0, 1): 1.0, (1, 0): 1.0})
-        f = write(tmp_path, "edge.txt", write_aocm(inst))
-        code, _, err = run(capsys, "solve-aocm", f, "--mode", "exact", "--partitions", "2")
-        assert code == 2
-        assert "--partitions only applies to --mode brute" in err
 
     def test_resource_cap_exit_code(self, tmp_path, capsys):
         f = write(tmp_path, "big.txt", write_aocm(

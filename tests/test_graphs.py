@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from ocmatch.errors import ContractError, InputError
 from ocmatch.fileio import parse_instance
-from ocmatch.generators import random_weighted_instance
+from ocmatch.generators import random_graph
 from ocmatch.graphs import (
     AocmInstance,
     Digraph,
@@ -18,7 +18,6 @@ from ocmatch.graphs import (
     cycle_graph,
     is_cubic,
     orientation_from_arcs,
-    orientation_from_mask,
     path_graph,
     star_graph,
     uniform_instance,
@@ -103,9 +102,8 @@ class TestAocmInstance:
     def test_weight_lookup_and_uniformity(self):
         inst = uniform_instance(cycle_graph(3), 2.5)
         assert inst.weight(1, 0) == 2.5
-        assert inst.is_uniform()
         lopsided = AocmInstance(path_graph(2), {(0, 1): 5.0, (1, 0): 2.0})
-        assert not lopsided.is_uniform()
+        assert lopsided.weight(1, 0) == 2.0
 
     def test_ordered_arcs_pairs_per_edge(self):
         inst = uniform_instance(path_graph(3))
@@ -114,50 +112,46 @@ class TestAocmInstance:
 
 class TestOrientation:
     def test_mask_zero_is_all_low_to_high(self):
-        inst = uniform_instance(cycle_graph(3))
-        o = orientation_from_mask(inst, 0)
+        o = Orientation(cycle_graph(3), 0)
         assert o.arcs() == ((0, 1), (0, 2), (1, 2))
 
     def test_mask_bits_reverse_individual_edges(self):
-        inst = uniform_instance(cycle_graph(3))
-        o = orientation_from_mask(inst, 0b010)
+        o = Orientation(cycle_graph(3), 0b010)
         assert o.arcs() == ((0, 1), (2, 0), (1, 2))
 
     def test_mask_out_of_range(self):
-        inst = uniform_instance(path_graph(2))
+        g = path_graph(2)
         with pytest.raises(ContractError):
-            orientation_from_mask(inst, 2)
+            Orientation(g, 2)
         with pytest.raises(ContractError):
-            orientation_from_mask(inst, -1)
+            Orientation(g, -1)
 
     def test_empty_instance_has_single_orientation(self):
-        inst = uniform_instance(UndirectedGraph(2, ()))
-        assert orientation_from_mask(inst, 0).arcs() == ()
+        g = UndirectedGraph(2, ())
+        assert Orientation(g, 0).arcs() == ()
         with pytest.raises(ContractError):
-            orientation_from_mask(inst, 1)
+            Orientation(g, 1)
 
     def test_invalid_direction_map_detected(self):
-        inst = uniform_instance(path_graph(2))
+        g = path_graph(2)
         for bad in (2, -1, 1.0, None):
             with pytest.raises(ContractError):
-                Orientation(inst, bad)
+                Orientation(g, bad)
 
     def test_from_arcs_round_trip(self):
-        inst = uniform_instance(cycle_graph(4))
-        o = orientation_from_arcs(inst, [(1, 0), (1, 2), (3, 2), (0, 3)])
+        o = orientation_from_arcs(cycle_graph(4), [(1, 0), (1, 2), (3, 2), (0, 3)])
         assert o.arcs() == ((1, 0), (0, 3), (1, 2), (3, 2))
 
     def test_from_arcs_rejects_double_direction(self):
-        inst = uniform_instance(path_graph(2))
         with pytest.raises(ContractError):
-            orientation_from_arcs(inst, [(0, 1), (1, 0)])
+            orientation_from_arcs(path_graph(2), [(0, 1), (1, 0)])
 
     def test_from_arcs_rejects_missing_edge(self):
-        inst = uniform_instance(path_graph(3))
+        g = path_graph(3)
         with pytest.raises(ContractError):
-            orientation_from_arcs(inst, [(0, 1)])
+            orientation_from_arcs(g, [(0, 1)])
         with pytest.raises(ContractError):
-            orientation_from_arcs(inst, [(0, 2), (1, 2)])
+            orientation_from_arcs(g, [(0, 2), (1, 2)])
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -165,11 +159,9 @@ class TestOrientation:
         rng = random.Random(seed)
         n = rng.randint(1, 6)
         m = rng.randint(0, n * (n - 1) // 2)
-        inst = random_weighted_instance(rng, n, m)
+        g = random_graph(rng, n, m)
         mask = rng.randrange(1 << m)
-        o = orientation_from_mask(inst, mask)
-        assert o.encoding() == mask
-        assert orientation_from_arcs(inst, o.arcs()).encoding() == mask
+        assert orientation_from_arcs(g, Orientation(g, mask).arcs()).mask == mask
 
 
 def test_named_graph_builders():

@@ -14,8 +14,8 @@ from ocmatch.generators import (
 from ocmatch.graphs import (
     AocmInstance,
     Digraph,
+    Orientation,
     UndirectedGraph,
-    orientation_from_mask,
     path_graph,
     uniform_instance,
 )
@@ -78,9 +78,9 @@ class TestMaxControlMatching:
 class TestMaxWeightControlMatching:
     def test_single_edge_picks_heavier_direction_weight(self):
         inst = AocmInstance(path_graph(2), {(0, 1): 5.0, (1, 0): 2.0})
-        m = max_weight_control_matching(inst, orientation_from_mask(inst, 0))
+        m = max_weight_control_matching(inst, Orientation(inst.graph, 0))
         assert m.value == 5.0 and m.arcs == ((0, 1),)
-        m = max_weight_control_matching(inst, orientation_from_mask(inst, 1))
+        m = max_weight_control_matching(inst, Orientation(inst.graph, 1))
         assert m.value == 2.0 and m.arcs == ((1, 0),)
 
     def test_zero_weight_arc_joins_when_lex_smaller(self):
@@ -88,20 +88,19 @@ class TestMaxWeightControlMatching:
             path_graph(3),
             {(0, 1): 0.0, (1, 0): 0.0, (1, 2): 3.0, (2, 1): 3.0},
         )
-        m = max_weight_control_matching(inst, orientation_from_mask(inst, 0))
+        m = max_weight_control_matching(inst, Orientation(inst.graph, 0))
         assert m.value == 3.0
         assert m.arcs == ((0, 1), (1, 2))
 
     def test_nonpositive_weights_leave_value_zero(self):
         inst = AocmInstance(path_graph(2), {(0, 1): -2.0, (1, 0): -1.0})
-        m = max_weight_control_matching(inst, orientation_from_mask(inst, 0))
+        m = max_weight_control_matching(inst, Orientation(inst.graph, 0))
         assert m.value == 0.0
 
     def test_rejects_orientation_of_other_instance(self):
-        a = uniform_instance(path_graph(2), 1.0)
-        b = uniform_instance(path_graph(2), 2.0)
+        inst = uniform_instance(path_graph(2))
         with pytest.raises(ContractError):
-            max_weight_control_matching(a, orientation_from_mask(b, 0))
+            max_weight_control_matching(inst, Orientation(path_graph(3), 0))
 
     def test_agrees_with_weighted_oracle(self):
         rng = random.Random(2)
@@ -112,7 +111,7 @@ class TestMaxWeightControlMatching:
             inst = random_weighted_instance(
                 rng, n, m_edges, low=0.0, high=6.0, integer=not fractional
             )
-            o = random_orientation(rng, inst)
+            o = random_orientation(rng, inst.graph)
             got = max_weight_control_matching(inst, o)
             want = brute_control_matching(o, weights=inst.weights)
             assert abs(got.value - want.value) <= 1e-9
@@ -126,7 +125,7 @@ class TestMaxWeightControlMatching:
         inst = random_weighted_instance(
             rng, n, rng.randint(0, min(8, n * (n - 1) // 2)), low=2.0, high=2.0
         )
-        o = random_orientation(rng, inst)
+        o = random_orientation(rng, inst.graph)
         got = max_weight_control_matching(inst, o)
         want = brute_control_matching(o, weights=inst.weights)
         assert abs(got.value - want.value) <= 1e-9
@@ -202,10 +201,10 @@ class TestCanonicalKernel:
             n = rng.randint(1, 7)
             m = rng.randint(0, min(10, n * (n - 1) // 2))
             inst = _instance_with_weights(rng, n, m, choices)
-            o = random_orientation(rng, inst)
+            o = random_orientation(rng, inst.graph)
             got = max_weight_control_matching(inst, o)
             want = brute_control_matching(o, weights=inst.weights)
-            assert got.arcs == want.arcs, (inst, o.encoding())
+            assert got.arcs == want.arcs, (inst, o.mask)
             assert abs(got.value - want.value) <= 1e-9
 
     def test_rollback_restores_the_matching(self):
@@ -294,18 +293,24 @@ def _check_kernel_optimum(kernel, n, weights):
 class TestAocmSolution:
     def test_consistent_solution_accepted(self):
         inst = AocmInstance(path_graph(2), {(0, 1): 5.0, (1, 0): 2.0})
-        o = orientation_from_mask(inst, 0)
-        sol = AocmSolution(o, ControlMatching(((0, 1),), 5.0), 5.0)
+        o = Orientation(inst.graph, 0)
+        sol = AocmSolution(inst, o, ControlMatching(((0, 1),), 5.0))
         assert sol.value == 5.0
 
     def test_misoriented_arc_rejected(self):
         inst = AocmInstance(path_graph(2), {(0, 1): 5.0, (1, 0): 2.0})
-        o = orientation_from_mask(inst, 0)
+        o = Orientation(inst.graph, 0)
         with pytest.raises(ContractError):
-            AocmSolution(o, ControlMatching(((1, 0),), 2.0), 2.0)
+            AocmSolution(inst, o, ControlMatching(((1, 0),), 2.0))
 
     def test_wrong_value_rejected(self):
         inst = AocmInstance(path_graph(2), {(0, 1): 5.0, (1, 0): 2.0})
-        o = orientation_from_mask(inst, 0)
+        o = Orientation(inst.graph, 0)
         with pytest.raises(ContractError):
-            AocmSolution(o, ControlMatching(((0, 1),), 5.0), 4.0)
+            AocmSolution(inst, o, ControlMatching(((0, 1),), 4.0))
+
+    def test_orientation_of_other_graph_rejected(self):
+        inst = AocmInstance(path_graph(2), {(0, 1): 5.0, (1, 0): 2.0})
+        o = Orientation(path_graph(3), 0)
+        with pytest.raises(ContractError):
+            AocmSolution(inst, o, ControlMatching(((0, 1),), 5.0))

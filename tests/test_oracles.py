@@ -5,11 +5,10 @@ import pytest
 from ocmatch.errors import ResourceLimitError
 from ocmatch.graphs import (
     Digraph,
+    Orientation,
     UndirectedGraph,
     complete_graph,
     cycle_graph,
-    orientation_from_mask,
-    uniform_instance,
 )
 from ocmatch.generators import random_digraph
 from ocmatch.oracles import (
@@ -121,26 +120,22 @@ class TestBrute3dcc:
 
 class TestEnumerateOrientations:
     def test_counter_order_and_count(self):
-        inst = uniform_instance(cycle_graph(3))
-        seen = list(enumerate_orientations(inst))
+        g = cycle_graph(3)
+        seen = list(enumerate_orientations(g))
         assert len(seen) == 8
         for mask, o in enumerate(seen):
-            assert o.encoding() == mask
-            assert o == orientation_from_mask(inst, mask)
+            assert o == Orientation(g, mask)
 
     def test_counter_zero_points_low_to_high(self):
-        inst = uniform_instance(UndirectedGraph(3, ((0, 1), (1, 2))))
-        first = next(enumerate_orientations(inst))
+        first = next(enumerate_orientations(UndirectedGraph(3, ((0, 1), (1, 2)))))
         assert first.arcs() == ((0, 1), (1, 2))
 
     def test_edgeless_instance_has_one_orientation(self):
-        inst = uniform_instance(UndirectedGraph(2, ()))
-        assert len(list(enumerate_orientations(inst))) == 1
+        assert len(list(enumerate_orientations(UndirectedGraph(2, ())))) == 1
 
     def test_edge_cap(self):
-        inst = uniform_instance(complete_graph(8))
         with pytest.raises(ResourceLimitError):
-            next(enumerate_orientations(inst))
+            next(enumerate_orientations(complete_graph(8)))
 
 
 class TestOracleCrossChecks:

@@ -7,11 +7,11 @@ from ocmatch.errors import ContractError, InputError
 from ocmatch.generators import random_digraph, random_weighted_instance
 from ocmatch.graphs import (
     Digraph,
+    Orientation,
     UndirectedGraph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    orientation_from_mask,
     path_graph,
     uniform_instance,
 )
@@ -268,7 +268,7 @@ class TestDecoding:
         rng = random.Random(32)
         for _ in range(40):
             mask = rng.randrange(1 << gi.host.graph.edge_count)
-            chosen = decode_g(gi, orientation_from_mask(gi.host, mask))
+            chosen = decode_g(gi, Orientation(gi.host.graph, mask))
             for u in chosen:
                 for v in chosen:
                     assert (min(u, v), max(u, v)) not in edge_set or u == v
@@ -277,12 +277,12 @@ class TestDecoding:
 class TestBoundCheck:
     def test_equality_at_the_canonical_orientation(self):
         gi = build_gadget_f(complete_graph(4))
-        chk = check_lemma3(gi, orientation_from_mask(gi.host, 0), optimal=True)
+        chk = check_lemma3(gi, Orientation(gi.host.graph, 0), optimal=True)
         assert chk.bound_holds and chk.value == 9.0 and chk.rhs == 9.0
 
     def test_strict_orientation_fails_the_optimal_claim(self):
         gi = build_gadget_f(complete_graph(4))
-        o = orientation_from_mask(gi.host, 11)
+        o = Orientation(gi.host.graph, 11)
         chk = check_lemma3(gi, o)
         assert chk.bound_holds and chk.value == 8.0 and chk.rhs == 9.0
         with pytest.raises(ContractError):
@@ -293,7 +293,7 @@ class TestBoundCheck:
         rng = random.Random(33)
         for _ in range(60):
             mask = rng.randrange(1 << gi.host.graph.edge_count)
-            assert check_lemma3(gi, orientation_from_mask(gi.host, mask)).bound_holds
+            assert check_lemma3(gi, Orientation(gi.host.graph, mask)).bound_holds
 
 
 class TestApproximationPreservation:
@@ -321,11 +321,11 @@ class TestApproximationPreservation:
         sources = ((complete_graph(4), 9.0), (complete_bipartite(3, 3), 15.0), (petersen, 24.0))
         for g, opt in sources:
             gi = build_gadget_f(g)
-            rep = check_lreduction(g, orientation_from_mask(gi.host, 0))
+            rep = check_lreduction(g, Orientation(gi.host.graph, 0))
             assert rep.opt_aocm == opt
             assert rep.alpha_holds and rep.beta_holds
 
     def test_foreign_orientation_rejected(self):
-        o = orientation_from_mask(uniform_instance(cycle_graph(3)), 0)
+        o = Orientation(cycle_graph(3), 0)
         with pytest.raises(ContractError):
             check_lreduction(complete_graph(4), o)
