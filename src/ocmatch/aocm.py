@@ -5,7 +5,8 @@ Three routes with different cost and guarantee profiles:
 * brute force scans every orientation in reflected Gray-code order and
   takes the best matching value, usable up to 24 edges; each step flips
   one edge and repairs one maximum-weight matching instead of solving
-  the orientation afresh;
+  the orientation afresh, and the canonical matching at the best
+  orientation comes from the same kernel, flipped back to it;
 * exact searches the conflict graph for a maximum-weight independent
   set, seeded with the greedy solution, and bounds each subtree by a
   tail/head assignment with 2-cycle branching on one warm kernel;
@@ -21,13 +22,14 @@ return, and greedy reports exactly the arcs it accepted.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import ResourceLimitError
 from .graphs import AocmInstance, Arc, Orientation
 from .matching import (
     AocmSolution,
     ControlMatching,
+    _canonical_pass,
     _positive_kernel,
     max_weight_control_matching,
 )
@@ -42,64 +44,100 @@ __all__ = [
 ]
 
 
-def _scan_orientations(inst: AocmInstance) -> tuple[int, int]:
-    """Best (value in units, counter) over every orientation.
+class _OrientationWalk:
+    """One warm matching kernel that follows an orientation as it changes.
 
-    Gray index i stands for the orientation counter i ^ (i >> 1) (the
-    reflected Gray code), so consecutive indices differ in one edge. One
-    scan visits indices 0 .. 2^m - 1; the largest value wins, ties going
-    to the smallest counter. One matching kernel holds the positive arcs
-    of the current orientation: each step switches the old direction of
-    the flipped edge off and the new one on, then repairs the matching.
+    The kernel holds the positive arcs of both directions of every edge,
+    with those against the current orientation ``mask`` switched off, so
+    turning one edge around is two switches and a repair rather than a
+    fresh solve. :meth:`masks` visits every orientation in reflected Gray
+    order: Gray index i stands for the orientation counter i ^ (i >> 1),
+    so consecutive indices differ in one edge. :meth:`canonical` runs the
+    canonical pass at the current orientation as a trial that it rolls
+    back, so the walk can go on from the same kernel.
     """
-    n = inst.graph.node_count
-    units = inst.units
-    edges = inst.graph.edges
-    m = len(edges)
-    kernel, ids = _positive_kernel(
-        n, [(u, v, units[(u, v)]) for u, v in edges] + [(v, u, units[(v, u)]) for u, v in edges]
-    )
-    pairs = list(zip(ids[:m], ids[m:]))
-    # Counter 0 directs every edge low to high.
-    for _, rev in pairs:
-        if rev >= 0:
-            kernel.deactivate(rev)
-    kernel.repair()
-    best_val = kernel.value
-    best_mask = mask = 0
-    for i in range(1, 1 << m):
-        k = (i & -i).bit_length() - 1
-        mask ^= 1 << k
-        fwd, rev = pairs[k]
-        off, on = (fwd, rev) if (mask >> k) & 1 else (rev, fwd)
+
+    def __init__(self, inst: AocmInstance) -> None:
+        units = inst.units
+        edges = inst.graph.edges
+        m = len(edges)
+        fwd = [(u, v, units[(u, v)]) for u, v in edges]
+        rev = [(v, u, units[(v, u)]) for u, v in edges]
+        self.kernel, ids = _positive_kernel(inst.graph.node_count, fwd + rev)
+        self.pairs = list(zip(ids[:m], ids[m:]))
+        # Every direction in canonical arc order with its kernel id, its
+        # edge's mask bit, and that bit's value when it is the chosen one.
+        self.directions = sorted(
+            ((arc, a), 1 << k % m, (1 << k % m) * (k >= m))
+            for k, (arc, a) in enumerate(zip(fwd + rev, ids))
+        )
+        # Mask 0 directs every edge low to high.
+        self.mask = 0
+        for _, b in self.pairs:
+            if b >= 0:
+                self.kernel.deactivate(b)
+        self.kernel.repair()
+
+    def _flip(self, k: int) -> None:
+        self.mask ^= 1 << k
+        fwd, rev = self.pairs[k]
+        off, on = (fwd, rev) if (self.mask >> k) & 1 else (rev, fwd)
         if off >= 0:
-            kernel.deactivate(off)
+            self.kernel.deactivate(off)
         if on >= 0:
-            kernel.activate(on)
-        kernel.repair()
-        val = kernel.value
-        if val > best_val or (val == best_val and mask < best_mask):
-            best_val = val
-            best_mask = mask
-    return best_val, best_mask
+            self.kernel.activate(on)
+
+    def masks(self) -> Iterator[int]:
+        """From a fresh walk, every orientation in Gray order, each yielded at its maximum."""
+        yield self.mask
+        for i in range(1, 1 << len(self.pairs)):
+            self._flip((i & -i).bit_length() - 1)
+            self.kernel.repair()
+            yield self.mask
+
+    def move_to(self, mask: int) -> None:
+        """Turn the edges on which ``mask`` differs, then repair."""
+        diff = self.mask ^ mask
+        while diff:
+            low = diff & -diff
+            diff ^= low
+            self._flip(low.bit_length() - 1)
+        self.kernel.repair()
+
+    def canonical(self) -> tuple[tuple[Arc, ...], int]:
+        """The current orientation's canonical matching and its value in units."""
+        mask = self.mask
+        items = [item for item, bit, chosen in self.directions if mask & bit == chosen]
+        self.kernel.begin()
+        found = _canonical_pass(self.kernel, items)
+        self.kernel.rollback()
+        return found
 
 
 def solve_aocm_brute(inst: AocmInstance, *, max_edges: int = 24) -> AocmSolution:
     """Scan all orientations in one pass; ties go to the smallest counter.
 
-    Caps at ``max_edges`` edges.
+    Caps at ``max_edges`` edges. The largest matching value wins; the
+    scan's kernel is then turned back to the winning orientation for the
+    canonical pass.
     """
     m = inst.graph.edge_count
     if m > max_edges:
         raise ResourceLimitError(
             f"brute force caps at {max_edges} edges, got {m}"
         )
-    best_val, best_mask = _scan_orientations(inst)
-    orientation = Orientation(inst.graph, best_mask)
-    matching = max_weight_control_matching(inst, orientation)
-    if sum(map(inst.units.__getitem__, matching.arcs)) != best_val:
+    walk = _OrientationWalk(inst)
+    best_val, best_mask = -1, 0
+    for mask in walk.masks():
+        val = walk.kernel.value
+        if val > best_val or (val == best_val and mask < best_mask):
+            best_val, best_mask = val, mask
+    walk.move_to(best_mask)
+    arcs, total = walk.canonical()
+    if total != best_val:
         raise AssertionError("scan value disagrees with the recovered matching")
-    return AocmSolution(inst, orientation, matching)
+    orientation = Orientation(inst.graph, best_mask)
+    return AocmSolution(inst, orientation, ControlMatching(arcs, inst.value_of(total)))
 
 
 def _assignment_bound(inst: AocmInstance) -> tuple[Callable[..., int], int]:

@@ -25,7 +25,7 @@ from pathlib import Path
 from .aocm import solve_aocm_brute, solve_aocm_exact, solve_aocm_greedy
 from .errors import ContractError, InputError, ResourceLimitError
 from .fileio import format_weight, load_instance, write_aocm, write_conflict_graph
-from .graphs import Arc, AocmInstance, Digraph, UndirectedGraph, is_cubic
+from .graphs import Arc, AocmInstance, Digraph, UndirectedGraph
 from .matching import max_control_matching
 from .ocm import solve_ocm
 from .reductions import aocm_to_wis, build_gadget_f, dcc3_to_aocm

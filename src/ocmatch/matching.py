@@ -11,7 +11,9 @@ unit-weight case. One incremental kernel solves them all. It keeps
 integer LP duals next to the matching, and after each edit (an arc
 switched off or on, a tail and a head copy blocked) it runs one
 Hungarian search from each copy the edit freed. Its writes are logged
-so that a trial can be rolled back.
+while a trial is open so that the trial can be rolled back, and trials
+nest: a caller can run the whole canonical pass, itself a sequence of
+trials, inside one trial on a warm kernel and then undo it.
 
 Among equal-value matchings every operation returns the lexicographically
 smallest arc set under canonical arc order, where arc sets are compared
@@ -19,14 +21,17 @@ as sorted tuples (a strict prefix compares smaller). That pins down one
 canonical answer so repeated runs are reproducible. The canonical answer
 comes from one solve: arcs are tried in one forward pass, an arc whose
 reduced cost under the optimal dual is positive is rejected outright, and
-a tight arc is kept when the rest repairs without moving a dual.
+a tight arc is kept when the rest repairs without moving a dual. The
+pass accepts any kernel already at a maximum with an optimal dual, fresh
+or warm, since the canonical answer does not depend on which optimal
+dual it starts from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ContractError
 from .graphs import AocmInstance, Arc, Digraph, Orientation
@@ -95,6 +100,9 @@ class _Kernel:
     from each of them that still has a positive dual. Changes made after
     :meth:`begin` form a trial: every write, duals included, is logged
     until :meth:`commit` keeps them or :meth:`rollback` undoes them.
+    Trials nest. A committed inner trial's writes stay in the log, so an
+    enclosing rollback still undoes them; the log exists only while some
+    trial is open.
     """
 
     def __init__(self, n: int, arcs: Sequence[Arc], weights: Sequence[int]) -> None:
@@ -126,6 +134,8 @@ class _Kernel:
         # Freed copies: a tail as its node id, a head as its complement.
         self.freed = [u for u in range(n) if tail_arc[u] < 0 and y[u] > 0]
         self.log: list[tuple[list, int, object]] | None = None
+        # One mark per open trial: log length, value and freed copies at begin.
+        self.marks: list[tuple[int, int, list[int]]] = []
         # A tail search walks out-lists to heads, a head search in-lists to
         # tails; each side keeps distance labels and tree arcs for its far
         # copies, reset after every search.
@@ -151,17 +161,26 @@ class _Kernel:
         self.freed += (u, ~v)
 
     def begin(self) -> None:
-        self.log = []
-        self.trial: tuple[int, list[int]] = (self.value, list(self.freed))
+        """Open a trial, nested inside any trial already open."""
+        if self.log is None:
+            self.log = []
+        self.marks.append((len(self.log), self.value, list(self.freed)))
 
     def commit(self) -> None:
-        self.log = None
+        """Keep the innermost trial's writes."""
+        self.marks.pop()
+        if not self.marks:
+            self.log = None
 
     def rollback(self) -> None:
-        for values, i, old in reversed(self.log):
+        """Undo every write since the innermost open trial began."""
+        start, self.value, self.freed = self.marks.pop()
+        log = self.log
+        for values, i, old in reversed(log[start:]):
             values[i] = old
-        self.value, self.freed = self.trial
-        self.log = None
+        del log[start:]
+        if not self.marks:
+            self.log = None
 
     def activate(self, a: int) -> None:
         """Switch arc ``a`` on; raise its tail's dual first if the arc would violate it."""
@@ -334,25 +353,40 @@ def _lex_min_optimal(
 ) -> tuple[tuple[Arc, ...], int]:
     """The lexicographically smallest arc set among maximum-value matchings.
 
-    ``items`` must be sorted by arc. The optimal arc tuple is grown in one
-    pass left to right: an arc is committed when it still extends the
-    committed arcs to an optimal matching, a rejected arc is never tried
-    again, and the pass stops as soon as the committed arcs alone reach
-    the optimum (a strict prefix beats every extension). One kernel holds
+    ``items`` must be sorted by arc. Builds a kernel over the positive
+    arcs, repairs it to a maximum and runs :func:`_canonical_pass` on it.
+    """
+    kernel, ids = _positive_kernel(n, items)
+    kernel.repair()
+    return _canonical_pass(kernel, zip(items, ids))
+
+
+def _canonical_pass(
+    kernel: _Kernel, items: Iterable[tuple[_WeightedArc, int]]
+) -> tuple[tuple[Arc, ...], int]:
+    """The lexicographically smallest optimal arc set, from a repaired kernel.
+
+    ``items`` pair each arc ``(u, v, w)``, in canonical order, with the
+    kernel's id for it, or -1 for a nonpositive arc; the kernel must be
+    at a maximum-weight matching over exactly the positive items, with an
+    optimal dual. The optimal arc tuple is grown in one pass left to
+    right: an arc is committed when it still extends the committed arcs
+    to an optimal matching, a rejected arc is never tried again, and the
+    pass stops as soon as the committed arcs alone reach the optimum (a
+    strict prefix beats every extension). The kernel holds
     the positive arcs from the current position on that avoid the
     committed tails and heads, at a maximum-weight matching with an
     optimal dual. By complementary slackness an arc of positive reduced
     cost lies in no optimal matching, and a copy with a positive dual is
     matched in every one, so only a tight arc is tried: it is switched off
     with its tail and head blocked, and it commits when the rest repairs
-    without moving a dual. Otherwise only the arc is switched off.
+    without moving a dual. Otherwise only the arc is switched off. Each
+    try is a trial, so the pass can itself run inside a trial.
     """
-    kernel, ids = _positive_kernel(n, items)
-    kernel.repair()
     best = kernel.value
     chosen: list[Arc] = []
     total = 0
-    for (u, v, w), a in zip(items, ids):
+    for (u, v, w), a in items:
         if total == best:
             break
         if kernel.blocked_tail[u] or kernel.blocked_head[v]:

@@ -328,8 +328,21 @@ def build_gadget_f(g: UndirectedGraph) -> GadgetInstance:
     return GadgetInstance(g, host, arc_role, t_label)
 
 
-def _check_matching_on_host(inst: AocmInstance, arcs: Iterable[Arc]) -> set[Arc]:
-    """Validate arcs as a control matching that some orientation admits."""
+class _HostMatching(frozenset):
+    """An arc set that :func:`_check_matching_on_host` accepted on ``host``."""
+
+    __slots__ = ("host",)
+
+
+def _check_matching_on_host(inst: AocmInstance, arcs: Iterable[Arc]) -> _HostMatching:
+    """Validate arcs as a control matching that some orientation admits.
+
+    A set this returned is accepted again on the same instance without a
+    second scan, so a caller that checks once can hand the result to
+    several consumers that each check their input.
+    """
+    if isinstance(arcs, _HostMatching) and arcs.host is inst:
+        return arcs
     arcset = set(arcs)
     heads: set[int] = set()
     tails: set[int] = set()
@@ -344,7 +357,9 @@ def _check_matching_on_host(inst: AocmInstance, arcs: Iterable[Arc]) -> set[Arc]
             raise ContractError(f"node {v} is the head of two arcs")
         tails.add(u)
         heads.add(v)
-    return arcset
+    checked = _HostMatching(arcset)
+    checked.host = inst
+    return checked
 
 
 @dataclass(frozen=True)

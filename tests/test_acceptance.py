@@ -6,13 +6,17 @@ exact: the solvers under test and the independent oracles must agree to
 the digit, not approximately.
 """
 
+import ast
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import ocmatch
+from ocmatch import verify
+from ocmatch.errors import ContractError
 from ocmatch.generators import random_connected_graph, random_digraph
 from ocmatch.graphs import complete_graph
 from ocmatch.matching import driver_count
@@ -85,6 +89,20 @@ def test_gadget_bound_holds_on_every_orientation():
     print(
         "PASS criterion 4: 16384 orientations swept, optimum 9 = 2n + 1, "
         "bound tight with saturated-vertex coefficient 1"
+    )
+
+
+def test_gadget_sweep_reports_failures_in_mask_order(monkeypatch):
+    """A failing sweep lists its masks in counter order, whatever order it visits them in."""
+
+    def fail(gi, arcs):
+        raise ContractError("x")
+
+    monkeypatch.setattr(verify, "decode_from_matching", fail)
+    result = verify_lemma3(seed=0, samples=5)
+    assert not result.passed
+    assert result.counterexamples == tuple(f"mask={m}: x" for m in range(25)) + (
+        "... 16360 more counterexamples suppressed",
     )
 
 
@@ -198,3 +216,29 @@ def test_package_imports_no_runtime_dependency(tmp_path):
     where, modules = probe.stdout.splitlines()
     assert Path(where).resolve() == Path(ocmatch.__file__).resolve()
     assert "'networkx'" not in modules, "importing ocmatch pulled in networkx"
+
+
+def test_package_modules_import_no_unused_names():
+    """Every name a package module imports appears again in that module's text.
+
+    A name listed in ``__all__`` appears there as a string, so a
+    re-export counts as a use.
+    """
+    unused = []
+    for path in sorted(Path(ocmatch.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        imported = []
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported.append((alias.asname or alias.name).split(".")[0])
+                for i in range(node.lineno - 1, node.end_lineno):
+                    lines[i] = ""
+        rest = "\n".join(lines)
+        unused += [
+            f"{path.name}: {name}" for name in imported if not re.search(rf"\b{name}\b", rest)
+        ]
+    assert not unused, unused

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from ocmatch.aocm import (
+    _OrientationWalk,
     _assignment_bound,
     solve_aocm_brute,
     solve_aocm_exact,
@@ -193,6 +194,24 @@ class TestGrayScan:
                     weights[(u, v)] = float(rng.choice(choices))
                     weights[(v, u)] = float(rng.choice(choices))
                 self._check(AocmInstance(g, weights))
+
+    def test_warm_canonical_pass_matches_a_fresh_solve_on_every_mask(self):
+        rng = random.Random(35)
+        for _ in range(30):
+            n = rng.randint(1, 6)
+            g = random_graph(rng, n, rng.randint(0, min(8, n * (n - 1) // 2)))
+            weights = {}
+            for u, v in g.edges:
+                weights[(u, v)] = float(rng.randint(-2, 4))
+                weights[(v, u)] = float(rng.randint(-2, 4))
+            inst = AocmInstance(g, weights)
+            walk = _OrientationWalk(inst)
+            for mask in walk.masks():
+                arcs, total = walk.canonical()
+                want = max_weight_control_matching(inst, Orientation(g, mask))
+                assert arcs == want.arcs, (inst, mask)
+                assert inst.value_of(total) == want.value
+                assert walk.kernel.value == total
 
 
 class TestGreedy:

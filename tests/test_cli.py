@@ -17,7 +17,6 @@ from ocmatch.generators import random_connected_graph
 from ocmatch.graphs import (
     AocmInstance,
     Digraph,
-    UndirectedGraph,
     complete_graph,
     cycle_graph,
     path_graph,

@@ -15,7 +15,6 @@ from ocmatch.graphs import (
     AocmInstance,
     Digraph,
     Orientation,
-    UndirectedGraph,
     path_graph,
     uniform_instance,
 )
@@ -233,13 +232,33 @@ class TestCanonicalKernel:
             kernel = _Kernel(n, d.arcs, weights)
             kernel.repair()
             for _ in range(12):
-                op = rng.randrange(4)
+                op = rng.randrange(5)
                 if op == 0 and d.arcs:
                     kernel.activate(rng.randrange(len(d.arcs)))
                 elif op == 1 and d.arcs:
                     kernel.deactivate(rng.randrange(len(d.arcs)))
                 elif op == 2:
                     kernel.block(rng.randrange(n), rng.randrange(n))
+                elif op == 3:
+                    # Nested trials: an inner commit is undone by the outer
+                    # rollback, and an inner rollback leaves the outer trial's
+                    # edits to commit.
+                    before = _kernel_state(kernel)
+                    kernel.begin()
+                    kernel.block(rng.randrange(n), rng.randrange(n))
+                    kernel.repair()
+                    kernel.begin()
+                    if d.arcs:
+                        kernel.deactivate(rng.randrange(len(d.arcs)))
+                    kernel.repair()
+                    if rng.random() < 0.5:
+                        kernel.commit()
+                        kernel.rollback()
+                        assert _kernel_state(kernel) == before
+                    else:
+                        kernel.rollback()
+                        kernel.commit()
+                    assert kernel.log is None
                 else:
                     before = _kernel_state(kernel)
                     kernel.begin()
@@ -263,6 +282,8 @@ def _kernel_state(kernel):
         list(kernel.active),
         list(kernel.y),
         list(kernel.z),
+        list(kernel.blocked_tail),
+        list(kernel.blocked_head),
         kernel.value,
     )
 

@@ -15,7 +15,6 @@ from ocmatch.graphs import (
     path_graph,
     uniform_instance,
 )
-from ocmatch.matching import max_weight_control_matching
 from ocmatch.oracles import brute_3dcc, brute_mwis
 from ocmatch.reductions import (
     EDGE_ARC,
