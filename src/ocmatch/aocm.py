@@ -13,6 +13,10 @@ Three routes with different cost and guarantee profiles:
 * greedy accepts ordered directions by descending weight while their
   edge, head slot, and tail slot are all still free.
 
+Brute force and exact each build one warm kernel of the same kind, over
+both directions of every edge in conflict-node order, and move it by
+switching directions on and off.
+
 Brute force and exact agree everywhere both run; greedy never exceeds
 them. Results are deterministic: brute breaks value ties toward the
 smallest orientation counter, brute and exact report the
@@ -22,6 +26,7 @@ return, and greedy reports exactly the arcs it accepted.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Iterator
 
 from .errors import ResourceLimitError
@@ -44,70 +49,69 @@ __all__ = [
 ]
 
 
-class _OrientationWalk:
-    """One warm matching kernel that follows an orientation as it changes.
+class _Directions:
+    """One warm matching kernel over both directions of every edge.
 
-    The kernel holds the positive arcs of both directions of every edge,
-    with those against the current orientation ``mask`` switched off, so
-    turning one edge around is two switches and a repair rather than a
-    fresh solve. :meth:`masks` visits every orientation in reflected Gray
-    order: Gray index i stands for the orientation counter i ^ (i >> 1),
-    so consecutive indices differ in one edge. :meth:`canonical` runs the
-    canonical pass at the current orientation as a trial that it rolls
-    back, so the walk can go on from the same kernel.
+    Direction i is arc i of ``inst.ordered_arcs()``: edge i >> 1, reversed
+    when i & 1. The kernel holds the positive arcs of the directions in
+    use, and :meth:`use` switches to another set of directions, low bit
+    first, leaving the repair to the caller. :meth:`orientations` visits
+    every orientation in reflected Gray order: Gray index i stands for
+    the orientation counter i ^ (i >> 1), so consecutive orientations
+    differ in one edge, two switches and a repair apart.
+    :meth:`canonical` runs the canonical pass on the directions in use as
+    a trial that it rolls back, so the kernel can go on from there.
     """
 
     def __init__(self, inst: AocmInstance) -> None:
         units = inst.units
-        edges = inst.graph.edges
-        m = len(edges)
-        fwd = [(u, v, units[(u, v)]) for u, v in edges]
-        rev = [(v, u, units[(v, u)]) for u, v in edges]
-        self.kernel, ids = _positive_kernel(inst.graph.node_count, fwd + rev)
-        self.pairs = list(zip(ids[:m], ids[m:]))
-        # Every direction in canonical arc order with its kernel id, its
-        # edge's mask bit, and that bit's value when it is the chosen one.
-        self.directions = sorted(
-            ((arc, a), 1 << k % m, (1 << k % m) * (k >= m))
-            for k, (arc, a) in enumerate(zip(fwd + rev, ids))
-        )
-        # Mask 0 directs every edge low to high.
-        self.mask = 0
-        for _, b in self.pairs:
-            if b >= 0:
-                self.kernel.deactivate(b)
-        self.kernel.repair()
+        self.items = [(u, v, units[(u, v)]) for u, v in inst.ordered_arcs()]
+        self.kernel, self.ids = _positive_kernel(inst.graph.node_count, self.items)
+        # Every direction starts in use.
+        self.used = (1 << len(self.items)) - 1
 
-    def _flip(self, k: int) -> None:
-        self.mask ^= 1 << k
-        fwd, rev = self.pairs[k]
-        off, on = (fwd, rev) if (self.mask >> k) & 1 else (rev, fwd)
-        if off >= 0:
-            self.kernel.deactivate(off)
-        if on >= 0:
-            self.kernel.activate(on)
+    @cached_property
+    def order(self) -> list:
+        """Every direction in canonical arc order, with its kernel id and its bit."""
+        return sorted((item, 1 << i) for i, item in enumerate(zip(self.items, self.ids)))
 
-    def masks(self) -> Iterator[int]:
-        """From a fresh walk, every orientation in Gray order, each yielded at its maximum."""
-        yield self.mask
-        for i in range(1, 1 << len(self.pairs)):
-            self._flip((i & -i).bit_length() - 1)
-            self.kernel.repair()
-            yield self.mask
-
-    def move_to(self, mask: int) -> None:
-        """Turn the edges on which ``mask`` differs, then repair."""
-        diff = self.mask ^ mask
+    def use(self, directions: int) -> None:
+        """Switch to the directions set in ``directions``, low bit first, without a repair."""
+        kernel, ids = self.kernel, self.ids
+        diff = self.used ^ directions
+        self.used = directions
         while diff:
             low = diff & -diff
             diff ^= low
-            self._flip(low.bit_length() - 1)
+            a = ids[low.bit_length() - 1]
+            if a >= 0:
+                if directions & low:
+                    kernel.activate(a)
+                else:
+                    kernel.deactivate(a)
+
+    def orient(self, mask: int) -> None:
+        """Switch to the orientation ``mask`` and repair."""
+        # Every forward direction (the even bits), with edge k's pair swapped
+        # where mask has bit k: mask's binary digits read in base 4 put bit k
+        # at bit 2k.
+        self.use(((1 << len(self.ids)) - 1) // 3 ^ int(f"{mask:b}", 4) * 3)
         self.kernel.repair()
 
+    def orientations(self) -> Iterator[int]:
+        """Every orientation mask in Gray order, each yielded with the kernel at its maximum."""
+        self.orient(0)
+        yield 0
+        use, repair = self.use, self.kernel.repair
+        for i in range(1, 1 << (len(self.ids) >> 1)):
+            use(self.used ^ 3 << 2 * ((i & -i).bit_length() - 1))
+            repair()
+            yield i ^ i >> 1
+
     def canonical(self) -> tuple[tuple[Arc, ...], int]:
-        """The current orientation's canonical matching and its value in units."""
-        mask = self.mask
-        items = [item for item, bit, chosen in self.directions if mask & bit == chosen]
+        """The canonical matching on the directions in use, and its value in units."""
+        used = self.used
+        items = [item for item, bit in self.order if used & bit]
         self.kernel.begin()
         found = _canonical_pass(self.kernel, items)
         self.kernel.rollback()
@@ -126,25 +130,25 @@ def solve_aocm_brute(inst: AocmInstance, *, max_edges: int = 24) -> AocmSolution
         raise ResourceLimitError(
             f"brute force caps at {max_edges} edges, got {m}"
         )
-    walk = _OrientationWalk(inst)
+    dirs = _Directions(inst)
     best_val, best_mask = -1, 0
-    for mask in walk.masks():
-        val = walk.kernel.value
+    for mask in dirs.orientations():
+        val = dirs.kernel.value
         if val > best_val or (val == best_val and mask < best_mask):
             best_val, best_mask = val, mask
-    walk.move_to(best_mask)
-    arcs, total = walk.canonical()
+    dirs.orient(best_mask)
+    arcs, total = dirs.canonical()
     if total != best_val:
         raise AssertionError("scan value disagrees with the recovered matching")
     orientation = Orientation(inst.graph, best_mask)
     return AocmSolution(inst, orientation, ControlMatching(arcs, inst.value_of(total)))
 
 
-def _assignment_bound(inst: AocmInstance) -> tuple[Callable[..., int], int]:
-    """The exact search's bound, and the assignment maximum at its root.
+def _assignment_bound(dirs: _Directions) -> Callable[..., int]:
+    """The exact search's bound on ``dirs``, whose kernel it repairs over every direction.
 
     Without the one-direction-per-edge rule the remaining positive arcs
-    form a tail/head assignment, which one warm kernel keeps at a maximum.
+    form a tail/head assignment, which the warm kernel keeps at a maximum.
     A maximum that beats ``need`` with both arcs of an edge (a 2-cycle)
     branches: forbid one arc, then the other (Carpaneto & Toth 1980). It
     stops once dropping the lighter arc of each 2-cycle beats ``need``.
@@ -152,16 +156,13 @@ def _assignment_bound(inst: AocmInstance) -> tuple[Callable[..., int], int]:
     branches run on an explicit stack, so their depth is not limited by
     the interpreter's recursion limit.
     """
-    units = inst.units
-    kernel, ids = _positive_kernel(
-        inst.graph.node_count, [(u, v, units[(u, v)]) for u, v in inst.ordered_arcs()]
-    )
+    kernel, ids = dirs.kernel, dirs.ids
     kernel.repair()
     tail_arc, tails, weight = kernel.tail_arc, kernel.tails, kernel.weight
     pairs = [(a, b) for a, b in zip(ids[::2], ids[1::2]) if a >= 0 and b >= 0]
-    active = sum(1 << i for i, a in enumerate(ids) if a >= 0)
 
-    def beat(need: int, charge: Callable[[], None]) -> int:
+    def bound(remaining: int, need: int, charge: Callable[[], None]) -> int:
+        dirs.use(remaining)
         # One entry per open branch: the arc it forbids, and the other arc
         # of its 2-cycle while that one is still to be tried (else -1). The
         # stack is empty only while the root solves.
@@ -193,16 +194,7 @@ def _assignment_bound(inst: AocmInstance) -> tuple[Callable[..., int], int]:
             else:
                 return root if beaten else min(root, need)
 
-    def bound(remaining: int, need: int, charge: Callable[[], None]) -> int:
-        nonlocal active
-        diff, active = active ^ remaining, remaining
-        while diff:
-            low = diff & -diff
-            diff ^= low
-            (kernel.activate if remaining & low else kernel.deactivate)(ids[low.bit_length() - 1])
-        return beat(need, charge)
-
-    return bound, kernel.value
+    return bound
 
 
 def solve_aocm_exact(
@@ -219,7 +211,9 @@ def solve_aocm_exact(
     units = inst.units
     index_of = {arc: i for i, arc in enumerate(cg.arcs)}
     seed_mask = sum(1 << index_of[arc] for arc in solve_aocm_greedy(inst).matching.arcs)
-    bound, upper = _assignment_bound(inst)
+    dirs = _Directions(inst)
+    bound = _assignment_bound(dirs)
+    upper = dirs.kernel.value
     try:
         best_mask, best_w = max_weight_independent_set(
             [units[a] for a in cg.arcs],

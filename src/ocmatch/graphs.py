@@ -180,13 +180,8 @@ class AocmInstance:
         return scale, units
 
     @property
-    def scale(self) -> int:
-        """The largest weight denominator, a power of two (1 for integer weights)."""
-        return self._lattice[0]
-
-    @property
     def units(self) -> dict[Arc, int]:
-        """Each weight as the exact integer ``weight * scale``."""
+        """Each weight times the largest weight denominator, a power of two, as an exact int."""
         return self._lattice[1]
 
     def value_of(self, total: int) -> float:

@@ -109,10 +109,12 @@ class _Kernel:
         self.tails = [u for u, _ in arcs]
         self.heads = [v for _, v in arcs]
         self.weight = weight = list(weights)
-        self.out: list[list[int]] = [[] for _ in range(n)]
-        self.inn: list[list[int]] = [[] for _ in range(n)]
+        # Flat lists first: a node count too large for memory fails here at
+        # once rather than after building n empty adjacency lists.
         self.y = y = [0] * n
         self.z = [0] * n
+        self.out: list[list[int]] = [[] for _ in range(n)]
+        self.inn: list[list[int]] = [[] for _ in range(n)]
         for a, (u, v) in enumerate(arcs):
             self.out[u].append(a)
             self.inn[v].append(a)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .aocm import _assignment_bound, _OrientationWalk, solve_aocm_brute, solve_aocm_exact
+from .aocm import _assignment_bound, _Directions, solve_aocm_brute, solve_aocm_exact
 from .errors import ContractError
 from .generators import random_digraph, random_weighted_instance
 from .graphs import (
@@ -109,8 +109,9 @@ def verify_lemma1(
         m = rng.randint(0, min(max_edges, n * (n - 1) // 2))
         inst = random_weighted_instance(rng, n, m, low=0.0, high=10.0)
         cg = aocm_to_wis(inst)
+        bound = _assignment_bound(_Directions(inst))
         mask, units = max_weight_independent_set(
-            [inst.units[a] for a in cg.arcs], cg.neighbor_masks(), bound=_assignment_bound(inst)[0]
+            [inst.units[a] for a in cg.arcs], cg.neighbor_masks(), bound=bound
         )
         weight = inst.value_of(units)
         _, oracle_weight = brute_mwis(cg.weights, cg.conflicts)
@@ -198,12 +199,13 @@ def verify_lemma3(*, seed: int = 0, samples: int = 200) -> SuiteResult:
     Every orientation of the gadget built from the 4-clique is solved;
     the optimum value, the per-orientation bound, the decoded set size,
     and its independence are all checked. The sweep walks the
-    orientations in Gray order on one warm matching kernel and takes each
-    canonical matching as a trial it rolls back; each matching is checked
-    on the host once, and the case partition and the decoder both read
-    that checked set. Violations are reported in mask order and the
-    optimum goes to the smallest mask, as a sweep in counter order would
-    have them; at that mask the warm matching must equal a fresh solve's.
+    orientations in Gray order on the brute scan's warm kernel over the
+    host's directions and takes each canonical matching as a trial it
+    rolls back; each matching is checked on the host once, and the case
+    partition and the decoder both read that checked set. Violations are
+    reported in mask order and the optimum goes to the smallest mask, as
+    a sweep in counter order would have them; the kernel is then turned
+    back to that mask, where its matching must equal a fresh solve's.
     The gadget of the 3,3-biclique gets sampled checks through the public
     entry points.
     """
@@ -214,9 +216,9 @@ def verify_lemma3(*, seed: int = 0, samples: int = 200) -> SuiteResult:
     found: list[tuple[int, str]] = []
     best_value = -1.0
     best_mask = 0
-    walk = _OrientationWalk(host)
-    for mask in walk.masks():
-        arcs, total = walk.canonical()
+    dirs = _Directions(host)
+    for mask in dirs.orientations():
+        arcs, total = dirs.canonical()
         matched = ControlMatching(arcs, host.value_of(total))
         value = matched.value
         try:
@@ -240,8 +242,8 @@ def verify_lemma3(*, seed: int = 0, samples: int = 200) -> SuiteResult:
     if best_value != 9.0:
         bad.append(f"exhaustive optimum {best_value:g}, expected 9")
     top = Orientation(host.graph, best_mask)
-    walk.move_to(best_mask)
-    if walk.canonical()[0] != max_weight_control_matching(host, top).arcs:
+    dirs.orient(best_mask)
+    if dirs.canonical()[0] != max_weight_control_matching(host, top).arcs:
         bad.append(f"optimal mask={best_mask}: warm and fresh canonical matchings differ")
     equality = False
     try:

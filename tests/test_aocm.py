@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from ocmatch.aocm import (
-    _OrientationWalk,
+    _Directions,
     _assignment_bound,
     solve_aocm_brute,
     solve_aocm_exact,
@@ -205,13 +205,13 @@ class TestGrayScan:
                 weights[(u, v)] = float(rng.randint(-2, 4))
                 weights[(v, u)] = float(rng.randint(-2, 4))
             inst = AocmInstance(g, weights)
-            walk = _OrientationWalk(inst)
-            for mask in walk.masks():
-                arcs, total = walk.canonical()
+            dirs = _Directions(inst)
+            for mask in dirs.orientations():
+                arcs, total = dirs.canonical()
                 want = max_weight_control_matching(inst, Orientation(g, mask))
                 assert arcs == want.arcs, (inst, mask)
                 assert inst.value_of(total) == want.value
-                assert walk.kernel.value == total
+                assert dirs.kernel.value == total
 
 
 class TestGreedy:
@@ -303,7 +303,7 @@ class TestSearchBound:
             cg = aocm_to_wis(inst)
             weights = [inst.units[a] for a in cg.arcs]
             masks = cg.neighbor_masks()
-            bound, _ = _assignment_bound(inst)
+            bound = _assignment_bound(_Directions(inst))
 
             def total(remaining, need, charge):
                 return sum(w for v, w in enumerate(weights) if remaining >> v & 1)
@@ -316,6 +316,11 @@ class TestSearchBound:
         inst = _sparse_instance(0, 40, 80)
         sol = solve_aocm_exact(inst, node_budget=100_000)
         assert sol.value >= solve_aocm_greedy(inst).value
+        # The search's charges are pinned: it solves on its 7,816th.
+        with pytest.raises(ResourceLimitError) as info:
+            solve_aocm_exact(inst, node_budget=7815)
+        assert (info.value.best_bound, info.value.upper_bound) == (256.0, 265.0)
+        assert solve_aocm_exact(inst, node_budget=7816).value == sol.value == 256.0
 
     def test_large_instance_caps_with_both_bounds(self):
         inst = _sparse_instance(1, 300, 600)

@@ -160,6 +160,12 @@ class TestSolveAocm:
         assert err.startswith("resource cap:")
         assert "(best bound so far 11, upper bound 13)" in err
 
+    def test_oversized_node_count_is_a_resource_cap(self, tmp_path, capsys):
+        f = write(tmp_path, "huge.txt", "1000000000000000 1 weighted\n0 1 3 2\n")
+        for mode in ("exact", "brute"):
+            code, out, err = run(capsys, "solve-aocm", f, "--mode", mode)
+            assert (code, out, err) == (3, "", "resource cap: out of memory\n")
+
 
 class TestReduce:
     def test_directed_triangle_reduction_round_trips(self, tmp_path, capsys):
