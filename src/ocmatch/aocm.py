@@ -72,7 +72,10 @@ class _Directions:
 
     @cached_property
     def order(self) -> list:
-        """Every direction in canonical arc order, with its kernel id and its bit."""
+        """Every direction in canonical arc order, with its kernel id and its bit.
+
+        Built on first use: the exact search's bound never reads it.
+        """
         return sorted((item, 1 << i) for i, item in enumerate(zip(self.items, self.ids)))
 
     def use(self, directions: int) -> None:
