@@ -26,7 +26,6 @@ return, and greedy reports exactly the arcs it accepted.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Callable, Iterator
 
 from .errors import ResourceLimitError
@@ -67,31 +66,28 @@ class _Directions:
         units = inst.units
         self.items = [(u, v, units[(u, v)]) for u, v in inst.ordered_arcs()]
         self.kernel, self.ids = _positive_kernel(inst.graph.node_count, self.items)
+        # The bit of every positive direction, with its kernel arc.
+        self.arc_at = {1 << i: a for i, a in enumerate(self.ids) if a >= 0}
+        self.positive = sum(self.arc_at)
         # Every direction starts in use.
         self.used = (1 << len(self.items)) - 1
-
-    @cached_property
-    def order(self) -> list:
-        """Every direction in canonical arc order, with its kernel id and its bit.
-
-        Built on first use: the exact search's bound never reads it.
-        """
-        return sorted((item, 1 << i) for i, item in enumerate(zip(self.items, self.ids)))
+        # Every direction in canonical arc order, with its kernel id and its
+        # bit; sorted by the first canonical pass, as the exact search's bound
+        # never runs one.
+        self.order: list | None = None
 
     def use(self, directions: int) -> None:
         """Switch to the directions set in ``directions``, low bit first, without a repair."""
-        kernel, ids = self.kernel, self.ids
-        diff = self.used ^ directions
+        kernel, arc_at = self.kernel, self.arc_at
+        diff = (self.used ^ directions) & self.positive
         self.used = directions
         while diff:
             low = diff & -diff
             diff ^= low
-            a = ids[low.bit_length() - 1]
-            if a >= 0:
-                if directions & low:
-                    kernel.activate(a)
-                else:
-                    kernel.deactivate(a)
+            if directions & low:
+                kernel.activate(arc_at[low])
+            else:
+                kernel.deactivate(arc_at[low])
 
     def orient(self, mask: int) -> None:
         """Switch to the orientation ``mask`` and repair."""
@@ -107,12 +103,17 @@ class _Directions:
         yield 0
         use, repair = self.use, self.kernel.repair
         for i in range(1, 1 << (len(self.ids) >> 1)):
-            use(self.used ^ 3 << 2 * ((i & -i).bit_length() - 1))
+            # Edge k's directions are bits 2k and 2k + 1: three times the
+            # square of bit k.
+            low = i & -i
+            use(self.used ^ 3 * low * low)
             repair()
             yield i ^ i >> 1
 
     def canonical(self) -> tuple[tuple[Arc, ...], int]:
         """The canonical matching on the directions in use, and its value in units."""
+        if self.order is None:
+            self.order = sorted((item, 1 << i) for i, item in enumerate(zip(self.items, self.ids)))
         used = self.used
         items = [item for item, bit in self.order if used & bit]
         self.kernel.begin()

@@ -195,11 +195,8 @@ class AocmInstance:
         2k + 1 as (u, v) then (v, u). This indexing is the canonical
         conflict-node order used by the independent-set reduction.
         """
-        out: list[Arc] = []
-        for u, v in self.graph.edges:
-            out.append((u, v))
-            out.append((v, u))
-        return tuple(out)
+        # __post_init__ keys the weights in this order.
+        return tuple(self.weights)
 
 
 def uniform_instance(g: UndirectedGraph, weight: float = 1.0) -> AocmInstance:
