@@ -7,9 +7,11 @@ Three routes with different cost and guarantee profiles:
   one edge and repairs one maximum-weight matching instead of solving
   the orientation afresh, and the canonical matching at the best
   orientation comes from the same kernel, flipped back to it;
-* exact searches the conflict graph for a maximum-weight independent
-  set, seeded with the greedy solution, and bounds each subtree by a
-  tail/head assignment with 2-cycle branching on one warm kernel;
+* exact first finds the optimum with a branch and bound on the
+  2-cycles of a tail/head assignment, kept on one warm kernel, then
+  searches the conflict graph for a maximum-weight independent set,
+  seeded with the greedy solution and bounded by the same assignment,
+  only until it reaches that optimum;
 * greedy accepts ordered directions by descending weight while their
   edge, head slot, and tail slot are all still free.
 
@@ -153,37 +155,53 @@ def _assignment_bound(dirs: _Directions) -> Callable[..., int]:
 
     Without the one-direction-per-edge rule the remaining positive arcs
     form a tail/head assignment, which the warm kernel keeps at a maximum.
-    A maximum that beats ``need`` with both arcs of an edge (a 2-cycle)
-    branches: forbid one arc, then the other (Carpaneto & Toth 1980). It
-    stops once dropping the lighter arc of each 2-cycle beats ``need``.
-    The bound is at most ``need`` exactly when nothing beats it. The
-    branches run on an explicit stack, so their depth is not limited by
-    the interpreter's recursion limit.
+    That maximum bounds every node of a branch and bound on its 2-cycles
+    (both arcs of an edge matched): a node that does not beat the best
+    weight so far is pruned, and dropping the lighter arc of each 2-cycle
+    is a feasible weight that raises it. A node still above the best
+    forbids one arc of its first 2-cycle, then the other (Carpaneto &
+    Toth 1980). The branches run on an explicit stack, so their depth is
+    not limited by the interpreter's recursion limit.
+
+    ``bound(remaining, need, charge)`` starts the best at ``need`` and
+    returns the first feasible weight above it, or ``need`` when nothing
+    beats it. Given ``found``, it runs to the end instead, calls
+    ``found(best)`` on every rise, and returns the larger of ``need`` and
+    the maximum feasible weight.
     """
     kernel, ids = dirs.kernel, dirs.ids
     kernel.repair()
     tail_arc, tails, weight = kernel.tail_arc, kernel.tails, kernel.weight
     pairs = [(a, b) for a, b in zip(ids[::2], ids[1::2]) if a >= 0 and b >= 0]
 
-    def bound(remaining: int, need: int, charge: Callable[[], None]) -> int:
+    def bound(
+        remaining: int,
+        need: int,
+        charge: Callable[[], None],
+        found: Callable[[int], None] | None = None,
+    ) -> int:
         dirs.use(remaining)
         # One entry per open branch: the arc it forbids, and the other arc
-        # of its 2-cycle while that one is still to be tried (else -1). The
-        # stack is empty only while the root solves.
+        # of its 2-cycle while that one is still to be tried (else -1).
         stack: list[tuple[int, int]] = []
-        root = 0
+        best = need
         while True:
             charge()
             kernel.repair()
             value = kernel.value
-            if not stack:
-                root = value
-            beaten = value > need
-            if beaten:
+            if value > best:
                 cycles = [
                     (a, b) for a, b in pairs if tail_arc[tails[a]] == a and tail_arc[tails[b]] == b
                 ]
-                if value - sum(min(weight[a], weight[b]) for a, b in cycles) <= need:
+                rounded = value - sum(min(weight[a], weight[b]) for a, b in cycles)
+                if rounded > best:
+                    best = rounded
+                    if found is None:
+                        for arc, _ in reversed(stack):
+                            kernel.activate(arc)
+                        return best
+                    found(best)
+                if value > best:
                     a, b = cycles[0]
                     kernel.deactivate(a)
                     stack.append((a, b))
@@ -191,12 +209,12 @@ def _assignment_bound(dirs: _Directions) -> Callable[..., int]:
             while stack:
                 arc, other = stack.pop()
                 kernel.activate(arc)
-                if not beaten and other >= 0:
+                if other >= 0:
                     kernel.deactivate(other)
                     stack.append((other, -1))
                     break
             else:
-                return root if beaten else min(root, need)
+                return best
 
     return bound
 
@@ -204,32 +222,50 @@ def _assignment_bound(dirs: _Directions) -> Callable[..., int]:
 def solve_aocm_exact(
     inst: AocmInstance, *, node_budget: int = 2_000_000
 ) -> AocmSolution:
-    """Exact solve through the conflict graph.
+    """Exact solve through the conflict graph, in two phases on one budget.
 
-    Builds the conflict graph, seeds the independent-set search with the
-    greedy solution, and translates the best independent set back. Raises
-    ResourceLimitError with the best bound found if the search budget runs
-    out.
+    The 2-cycle branch and bound of :func:`_assignment_bound`, started
+    from the greedy value, finds the optimum V* over every direction.
+    The independent-set search, seeded with the greedy solution and
+    bounded the same way, then replays only until it reaches V*: that
+    gives the set a full search would return. The best set is translated
+    back. Search nodes and bound repairs of both phases share
+    ``node_budget``; past it, ResourceLimitError carries the heaviest
+    feasible weight known and the root assignment value.
     """
     cg = aocm_to_wis(inst)
     units = inst.units
     index_of = {arc: i for i, arc in enumerate(cg.arcs)}
-    seed_mask = sum(1 << index_of[arc] for arc in solve_aocm_greedy(inst).matching.arcs)
+    seed = solve_aocm_greedy(inst).matching.arcs
+    best = sum(units[arc] for arc in seed)
     dirs = _Directions(inst)
     bound = _assignment_bound(dirs)
     upper = dirs.kernel.value
+    spent = 0
+    message = f"exact search exceeded {node_budget} nodes and bound solves"
+
+    def charge() -> None:
+        nonlocal spent
+        spent += 1
+        if spent > node_budget:
+            raise ResourceLimitError(message)
+
+    def found(weight: int) -> None:
+        nonlocal best
+        best = weight
+
     try:
+        optimum = bound(dirs.used, best, charge, found)
         best_mask, best_w = max_weight_independent_set(
             [units[a] for a in cg.arcs],
             cg.neighbor_masks(),
-            seed_mask=seed_mask,
-            node_budget=node_budget,
+            seed_mask=sum(1 << index_of[arc] for arc in seed),
+            node_budget=node_budget - spent,
             bound=bound,
+            optimum=optimum,
         )
     except ResourceLimitError as exc:
-        raise ResourceLimitError(
-            str(exc), inst.value_of(exc.best_bound), inst.value_of(upper)
-        ) from exc
+        raise ResourceLimitError(message, inst.value_of(best), inst.value_of(upper)) from exc
     chosen = [i for i in range(len(cg.arcs)) if (best_mask >> i) & 1]
     sol = wis_to_aocm_solution(cg, chosen)
     matching = max_weight_control_matching(inst, sol.orientation)

@@ -11,7 +11,7 @@ from ocmatch.aocm import (
     solve_aocm_exact,
     solve_aocm_greedy,
 )
-from ocmatch.errors import ResourceLimitError
+from ocmatch.errors import ContractError, ResourceLimitError
 from ocmatch.graphs import (
     AocmInstance,
     Orientation,
@@ -288,6 +288,19 @@ def _sparse_instance(seed, n, m):
     return AocmInstance(g, weights)
 
 
+def _search_instances():
+    """The 300 small instances of the bound-equivalence test: n 2..8, three weight sets."""
+    rng = random.Random(12)
+    choices = [list(range(4)), list(range(-3, 6)), [0.1, 0.2, 0.25, 0.3]]
+    for i in range(300):
+        n = rng.randint(2, 8)
+        g = random_graph(rng, n, rng.randint(1, min(n * (n - 1) // 2, 2 * n)))
+        values = choices[i % 3]
+        yield AocmInstance(
+            g, {arc: float(rng.choice(values)) for u, v in g.edges for arc in ((u, v), (v, u))}
+        )
+
+
 class TestSearchBound:
     def test_any_valid_bound_returns_the_same_set(self):
         rng = random.Random(12)
@@ -312,15 +325,39 @@ class TestSearchBound:
                 weights, masks, bound=bound
             ) == max_weight_independent_set(weights, masks, bound=total)
 
+    def test_replay_to_the_optimum_returns_the_same_set(self):
+        for inst in _search_instances():
+            cg = aocm_to_wis(inst)
+            weights = [inst.units[a] for a in cg.arcs]
+            masks = cg.neighbor_masks()
+            dirs = _Directions(inst)
+            bound = _assignment_bound(dirs)
+            seed = sum(1 << cg.arcs.index(a) for a in solve_aocm_greedy(inst).matching.arcs)
+            greedy = sum(w for v, w in enumerate(weights) if seed >> v & 1)
+            optimum = bound(dirs.used, greedy, lambda: None, lambda best: None)
+            for seed_mask in (0, seed):
+                full = max_weight_independent_set(weights, masks, bound=bound, seed_mask=seed_mask)
+                assert full[1] == optimum
+                replay = max_weight_independent_set(
+                    weights, masks, bound=bound, seed_mask=seed_mask, optimum=optimum
+                )
+                assert replay == full
+            with pytest.raises(ContractError):
+                max_weight_independent_set(weights, masks, bound=bound, optimum=optimum + 1)
+            # The brute scan doubles its cost per edge; past 12 edges the
+            # full search above stands in for it.
+            if inst.graph.edge_count <= 12:
+                assert inst.value_of(optimum) == solve_aocm_brute(inst).value
+
     def test_forty_nodes_solve_within_budget(self):
         inst = _sparse_instance(0, 40, 80)
         sol = solve_aocm_exact(inst, node_budget=100_000)
         assert sol.value >= solve_aocm_greedy(inst).value
-        # The search's charges are pinned: it solves on its 7,816th.
+        # The search's charges are pinned: it solves on its 1,276th.
         with pytest.raises(ResourceLimitError) as info:
-            solve_aocm_exact(inst, node_budget=7815)
+            solve_aocm_exact(inst, node_budget=1275)
         assert (info.value.best_bound, info.value.upper_bound) == (256.0, 265.0)
-        assert solve_aocm_exact(inst, node_budget=7816).value == sol.value == 256.0
+        assert solve_aocm_exact(inst, node_budget=1276).value == sol.value == 256.0
 
     def test_large_instance_caps_with_both_bounds(self):
         inst = _sparse_instance(1, 300, 600)
