@@ -11,7 +11,9 @@ Three routes with different cost and guarantee profiles:
   2-cycles of a tail/head assignment, kept on one warm kernel, then
   searches the conflict graph for a maximum-weight independent set,
   seeded with the greedy solution and bounded by the same assignment,
-  only until it reaches that optimum;
+  only until it reaches that optimum; a bound that beats the search's
+  need also returns the feasible set it found, and the search skips the
+  bound calls below it that this set already answers;
 * greedy accepts ordered directions by descending weight while their
   edge, head slot, and tail slot are all still free.
 
@@ -150,7 +152,7 @@ def solve_aocm_brute(inst: AocmInstance, *, max_edges: int = 24) -> AocmSolution
     return AocmSolution(inst, orientation, ControlMatching(arcs, inst.value_of(total)))
 
 
-def _assignment_bound(dirs: _Directions) -> Callable[..., int]:
+def _assignment_bound(dirs: _Directions) -> Callable[..., tuple[int, int]]:
     """The exact search's bound on ``dirs``, whose kernel it repairs over every direction.
 
     Without the one-direction-per-edge rule the remaining positive arcs
@@ -158,28 +160,31 @@ def _assignment_bound(dirs: _Directions) -> Callable[..., int]:
     That maximum bounds every node of a branch and bound on its 2-cycles
     (both arcs of an edge matched): a node that does not beat the best
     weight so far is pruned, and dropping the lighter arc of each 2-cycle
-    is a feasible weight that raises it. A node still above the best
-    forbids one arc of its first 2-cycle, then the other (Carpaneto &
-    Toth 1980). The branches run on an explicit stack, so their depth is
-    not limited by the interpreter's recursion limit.
+    leaves a feasible set of directions, whose weight raises it. A node
+    still above the best forbids one arc of its first 2-cycle, then the
+    other (Carpaneto & Toth 1980). The branches run on an explicit stack,
+    so their depth is not limited by the interpreter's recursion limit.
 
     ``bound(remaining, need, charge)`` starts the best at ``need`` and
-    returns the first feasible weight above it, or ``need`` when nothing
+    returns ``(gain, witness)``: the first feasible weight above ``need``
+    and its set as a direction bitmask, or ``(need, 0)`` when nothing
     beats it. Given ``found``, it runs to the end instead, calls
     ``found(best)`` on every rise, and returns the larger of ``need`` and
-    the maximum feasible weight.
+    the maximum feasible weight, with no witness.
     """
     kernel, ids = dirs.kernel, dirs.ids
     kernel.repair()
     tail_arc, tails, weight = kernel.tail_arc, kernel.tails, kernel.weight
     pairs = [(a, b) for a, b in zip(ids[::2], ids[1::2]) if a >= 0 and b >= 0]
+    # The direction bit of every kernel arc.
+    bit = [1 << i for i, a in enumerate(ids) if a >= 0]
 
     def bound(
         remaining: int,
         need: int,
         charge: Callable[[], None],
         found: Callable[[int], None] | None = None,
-    ) -> int:
+    ) -> tuple[int, int]:
         dirs.use(remaining)
         # One entry per open branch: the arc it forbids, and the other arc
         # of its 2-cycle while that one is still to be tried (else -1).
@@ -197,9 +202,12 @@ def _assignment_bound(dirs: _Directions) -> Callable[..., int]:
                 if rounded > best:
                     best = rounded
                     if found is None:
+                        witness = sum(bit[a] for a in tail_arc if a >= 0) - sum(
+                            bit[a if weight[a] <= weight[b] else b] for a, b in cycles
+                        )
                         for arc, _ in reversed(stack):
                             kernel.activate(arc)
-                        return best
+                        return best, witness
                     found(best)
                 if value > best:
                     a, b = cycles[0]
@@ -214,7 +222,7 @@ def _assignment_bound(dirs: _Directions) -> Callable[..., int]:
                     stack.append((other, -1))
                     break
             else:
-                return best
+                return best, 0
 
     return bound
 
@@ -255,7 +263,7 @@ def solve_aocm_exact(
         best = weight
 
     try:
-        optimum = bound(dirs.used, best, charge, found)
+        optimum, _ = bound(dirs.used, best, charge, found)
         best_mask, best_w = max_weight_independent_set(
             [units[a] for a in cg.arcs],
             cg.neighbor_masks(),

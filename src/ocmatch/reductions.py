@@ -547,7 +547,7 @@ def check_lreduction(g: UndirectedGraph, y: Orientation) -> LReductionReport:
         for v in adj[u]:
             masks[u] |= 1 << v
     _, opt_is = max_weight_independent_set(
-        [1] * g.node_count, masks, bound=lambda remaining, need, charge: remaining.bit_count()
+        [1] * g.node_count, masks, bound=lambda remaining, need, charge: (remaining.bit_count(), 0)
     )
     opt_aocm = solve_aocm_exact(gi.host).value
     return lreduction_report(gi, y, opt_is, opt_aocm)

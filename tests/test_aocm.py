@@ -301,29 +301,69 @@ def _search_instances():
         )
 
 
+def _withheld(bound):
+    """``bound`` with its witness withheld, as a plain bound returns it."""
+    return lambda remaining, need, charge: (bound(remaining, need, charge)[0], 0)
+
+
+def _counted(bound, calls):
+    """``bound``, appending one entry to ``calls`` per call."""
+
+    def counted(remaining, need, charge):
+        calls.append(remaining)
+        return bound(remaining, need, charge)
+
+    return counted
+
+
 class TestSearchBound:
     def test_any_valid_bound_returns_the_same_set(self):
-        rng = random.Random(12)
-        choices = [list(range(4)), list(range(-3, 6)), [0.1, 0.2, 0.25, 0.3]]
-        for i in range(300):
-            n = rng.randint(2, 8)
-            g = random_graph(rng, n, rng.randint(1, min(n * (n - 1) // 2, 2 * n)))
-            values = choices[i % 3]
-            inst = AocmInstance(
-                g,
-                {arc: float(rng.choice(values)) for u, v in g.edges for arc in ((u, v), (v, u))},
-            )
+        for inst in _search_instances():
             cg = aocm_to_wis(inst)
             weights = [inst.units[a] for a in cg.arcs]
             masks = cg.neighbor_masks()
             bound = _assignment_bound(_Directions(inst))
 
             def total(remaining, need, charge):
-                return sum(w for v, w in enumerate(weights) if remaining >> v & 1)
+                return sum(w for v, w in enumerate(weights) if remaining >> v & 1), 0
 
-            assert max_weight_independent_set(
-                weights, masks, bound=bound
-            ) == max_weight_independent_set(weights, masks, bound=total)
+            calls, plain_calls = [], []
+            found = max_weight_independent_set(weights, masks, bound=_counted(bound, calls))
+            assert found == max_weight_independent_set(weights, masks, bound=total)
+            assert found == max_weight_independent_set(
+                weights, masks, bound=_counted(_withheld(bound), plain_calls)
+            )
+            assert len(calls) <= len(plain_calls)
+
+    def test_assignment_bound_witness_is_a_feasible_set(self):
+        for inst in _search_instances():
+            cg = aocm_to_wis(inst)
+            weights = [inst.units[a] for a in cg.arcs]
+            masks = cg.neighbor_masks()
+            bound = _assignment_bound(_Directions(inst))
+
+            def checked(remaining, need, charge):
+                gain, witness = bound(remaining, need, charge)
+                if gain > need:
+                    assert witness & ~remaining == 0
+                    members = [v for v in range(len(weights)) if witness >> v & 1]
+                    assert all(masks[v] & witness == 0 for v in members)
+                    assert sum(weights[v] for v in members) == gain
+                else:
+                    assert (gain, witness) == (need, 0)
+                return gain, 0
+
+            # The witness is withheld, so every unpruned node asks the bound.
+            max_weight_independent_set(weights, masks, bound=checked)
+
+    def test_seed_outside_the_vertex_range_is_rejected(self):
+        def bound(remaining, need, charge):
+            return remaining.bit_count(), 0
+
+        for seed_mask in (0b11, 0b10, -1):
+            with pytest.raises(ContractError):
+                max_weight_independent_set([1], [0], bound=bound, seed_mask=seed_mask)
+        assert max_weight_independent_set([1], [0], bound=bound, seed_mask=1) == (1, 1)
 
     def test_replay_to_the_optimum_returns_the_same_set(self):
         for inst in _search_instances():
@@ -334,14 +374,27 @@ class TestSearchBound:
             bound = _assignment_bound(dirs)
             seed = sum(1 << cg.arcs.index(a) for a in solve_aocm_greedy(inst).matching.arcs)
             greedy = sum(w for v, w in enumerate(weights) if seed >> v & 1)
-            optimum = bound(dirs.used, greedy, lambda: None, lambda best: None)
+            optimum, _ = bound(dirs.used, greedy, lambda: None, lambda best: None)
             for seed_mask in (0, seed):
                 full = max_weight_independent_set(weights, masks, bound=bound, seed_mask=seed_mask)
                 assert full[1] == optimum
+                calls, plain_calls = [], []
                 replay = max_weight_independent_set(
-                    weights, masks, bound=bound, seed_mask=seed_mask, optimum=optimum
+                    weights,
+                    masks,
+                    bound=_counted(bound, calls),
+                    seed_mask=seed_mask,
+                    optimum=optimum,
                 )
                 assert replay == full
+                assert replay == max_weight_independent_set(
+                    weights,
+                    masks,
+                    bound=_counted(_withheld(bound), plain_calls),
+                    seed_mask=seed_mask,
+                    optimum=optimum,
+                )
+                assert len(calls) <= len(plain_calls)
             with pytest.raises(ContractError):
                 max_weight_independent_set(weights, masks, bound=bound, optimum=optimum + 1)
             # The brute scan doubles its cost per edge; past 12 edges the
@@ -353,11 +406,11 @@ class TestSearchBound:
         inst = _sparse_instance(0, 40, 80)
         sol = solve_aocm_exact(inst, node_budget=100_000)
         assert sol.value >= solve_aocm_greedy(inst).value
-        # The search's charges are pinned: it solves on its 1,276th.
+        # The search's charges are pinned: it solves on its 474th.
         with pytest.raises(ResourceLimitError) as info:
-            solve_aocm_exact(inst, node_budget=1275)
+            solve_aocm_exact(inst, node_budget=473)
         assert (info.value.best_bound, info.value.upper_bound) == (256.0, 265.0)
-        assert solve_aocm_exact(inst, node_budget=1276).value == sol.value == 256.0
+        assert solve_aocm_exact(inst, node_budget=474).value == sol.value == 256.0
 
     def test_large_instance_caps_with_both_bounds(self):
         inst = _sparse_instance(1, 300, 600)
